@@ -55,7 +55,7 @@ use crate::error::CoreError;
 use crate::mechanism::Mechanism;
 use cache::{CachedStrategy, StrategyCache, PROFILE_BUCKETS};
 use lrm_dp::{Budget, Epsilon};
-use lrm_linalg::operator::coarse_column_profile;
+use lrm_linalg::operator::{coarse_column_profile, densification_count};
 use lrm_workload::{Fingerprint, Workload};
 use rand::RngCore;
 use std::path::PathBuf;
@@ -219,7 +219,9 @@ impl Engine {
         kind: MechanismKind,
         options: &CompileOptions,
     ) -> Result<CompiledMechanism, CoreError> {
-        let t0 = Instant::now();
+        // Both counters are this thread's: a compile runs on its caller's
+        // thread (GEMM helper threads never densify).
+        let started = (Instant::now(), densification_count());
         registry::check_flavor_supported(kind, options.flavor)?;
         let fingerprint = workload.fingerprint();
         let key = (fingerprint, kind, options.digest(kind));
@@ -241,7 +243,7 @@ impl Engine {
                     flavor,
                     fingerprint,
                     CacheOutcome::MemoryHit,
-                    t0,
+                    started,
                     cached,
                     None,
                 ));
@@ -275,7 +277,7 @@ impl Engine {
                     flavor,
                     fingerprint,
                     CacheOutcome::DiskHit,
-                    t0,
+                    started,
                     cached,
                     None,
                 ));
@@ -331,7 +333,7 @@ impl Engine {
                             flavor,
                             fingerprint,
                             CacheOutcome::WarmStart,
-                            t0,
+                            started,
                             cached,
                             Some(provenance),
                         ));
@@ -357,7 +359,7 @@ impl Engine {
                         flavor,
                         fingerprint,
                         CacheOutcome::Miss,
-                        t0,
+                        started,
                         cached,
                         None,
                     ));
@@ -389,7 +391,7 @@ impl Engine {
             flavor,
             fingerprint,
             CacheOutcome::Miss,
-            t0,
+            started,
             cached,
             None,
         ))
@@ -491,7 +493,7 @@ impl Engine {
         flavor: NoiseFlavor,
         fingerprint: Fingerprint,
         cache: CacheOutcome,
-        t0: Instant,
+        (t0, densified_before): (Instant, u64),
         cached: CachedStrategy,
         warm_start: Option<WarmStartProvenance>,
     ) -> CompiledMechanism {
@@ -503,6 +505,7 @@ impl Engine {
                 fingerprint,
                 cache,
                 compile_seconds: t0.elapsed().as_secs_f64(),
+                densifications: densification_count() - densified_before,
                 strategy_rank: cached.strategy_rank,
                 alm_iterations: cached.alm_iterations,
                 warm_start,
@@ -619,6 +622,9 @@ pub struct CompileMeta {
     pub cache: CacheOutcome,
     /// Wall-clock seconds this compile call took (≈0 on a memory hit).
     pub compile_seconds: f64,
+    /// Structured workload operators this compile call densified (see
+    /// [`densification_count`]); 0 on the structured fast path.
+    pub densifications: u64,
     /// Decomposition rank `r` for decomposition-backed kinds.
     pub strategy_rank: Option<usize>,
     /// Outer ALM iterations the compile ran (`None` for non-iterative
@@ -753,7 +759,7 @@ impl std::fmt::Debug for CompiledMechanism {
 mod tests {
     use super::*;
     use lrm_dp::rng::derive_rng;
-    use lrm_workload::generators::{WRange, WRelated, WorkloadGenerator};
+    use lrm_workload::generators::{WDiscrete, WRange, WRelated, WorkloadGenerator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1020,6 +1026,59 @@ mod tests {
             .compile_best(&w, &[MechanismKind::Lrm], &opts)
             .is_err());
         assert!(engine.compile_best(&w, &[], &opts).is_err());
+    }
+
+    #[test]
+    fn compile_best_picks_wavelet_on_large_range_workload_without_lrm() {
+        let engine = Engine::builder().reference_epsilon(eps(0.1)).build();
+        let w = WRange
+            .generate(16, 512, &mut StdRng::seed_from_u64(2))
+            .unwrap();
+        let panel = [MechanismKind::Laplace, MechanismKind::Wavelet];
+        let best = engine
+            .compile_best(&w, &panel, engine.default_options())
+            .unwrap();
+        assert_eq!(best.meta().kind, MechanismKind::Wavelet);
+    }
+
+    #[test]
+    fn compile_best_picks_laplace_on_small_dense_workload_without_lrm() {
+        let engine = Engine::builder().reference_epsilon(eps(0.1)).build();
+        let w = WDiscrete::default()
+            .generate(16, 24, &mut StdRng::seed_from_u64(3))
+            .unwrap();
+        let panel = [MechanismKind::Laplace, MechanismKind::Wavelet];
+        let best = engine
+            .compile_best(&w, &panel, engine.default_options())
+            .unwrap();
+        assert_eq!(best.meta().kind, MechanismKind::Laplace);
+    }
+
+    #[test]
+    fn compile_best_error_is_min_of_panel() {
+        let engine = Engine::builder().reference_epsilon(eps(0.1)).build();
+        let w = WRange
+            .generate(8, 16, &mut StdRng::seed_from_u64(4))
+            .unwrap();
+        let panel = [
+            MechanismKind::Laplace,
+            MechanismKind::Wavelet,
+            MechanismKind::Lrm,
+        ];
+        let min = panel
+            .iter()
+            .map(|&kind| {
+                engine
+                    .compile_default(&w, kind)
+                    .unwrap()
+                    .meta()
+                    .expected_avg_error
+            })
+            .fold(f64::INFINITY, f64::min);
+        let best = engine
+            .compile_best(&w, &panel, engine.default_options())
+            .unwrap();
+        assert!((best.meta().expected_avg_error - min).abs() < 1e-9 * min);
     }
 
     /// A dashboard-style range panel: `cuts` equal ranges, four quarter

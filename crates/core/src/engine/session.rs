@@ -41,7 +41,7 @@ impl Session {
         Self {
             mechanism: compiled.shared_mechanism(),
             label: compiled.meta().label,
-            ledger: BudgetLedger::with_budget(total),
+            ledger: BudgetLedger::new(total),
         }
     }
 
@@ -82,11 +82,11 @@ impl Session {
         budget: Budget,
         rng: &mut dyn RngCore,
     ) -> Result<BatchAnswer, EngineError> {
-        self.ledger.check_budget(budget)?;
+        self.ledger.check(budget)?;
         let answers = self.mechanism.answer_budget(x, budget, rng)?;
         let eps_remaining = self
             .ledger
-            .debit_budget(budget)
+            .debit(budget)
             .expect("debit cannot fail after check");
         Ok(BatchAnswer {
             answers,

@@ -119,6 +119,14 @@ impl Budget {
     }
 }
 
+/// Every ledger entry point takes `impl Into<Budget>`: an [`Epsilon`]
+/// is the pure budget `(ε, 0)`.
+impl From<Epsilon> for Budget {
+    fn from(eps: Epsilon) -> Self {
+        Self::pure(eps)
+    }
+}
+
 impl fmt::Display for Budget {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_pure() {

@@ -1,5 +1,5 @@
-//! A thread-safe layer over [`BudgetLedger`] semantics for concurrent
-//! serving, with a lock-free admission fast path.
+//! The one concurrent (ε, δ)-budget ledger: [`SharedLedger`], optionally
+//! backed by a write-ahead journal.
 //!
 //! A serving runtime debits one tenant's budget from many threads at
 //! once. The sequential [`BudgetLedger`] guarantees that the cumulative
@@ -8,8 +8,8 @@
 //! preserves exactly that bound under contention — but instead of
 //! serializing every check-and-debit behind one mutex, each spend column
 //! (ε, and δ under approximate DP) lives in an `AtomicU64` holding f64
-//! bits, and a debit is one CAS loop that replicates the sequential
-//! check-then-clamp *atomically*:
+//! bits, and a reservation is one CAS loop that replicates the
+//! sequential check-then-clamp *atomically*:
 //!
 //! 1. load the current spend, evaluate [`BudgetLedger::check`]'s exact
 //!    predicate (exhaustion guard + one-slack headroom) against it;
@@ -20,33 +20,39 @@
 //! `BudgetLedger::debit` executed at its linearization point, so any
 //! concurrent history is equivalent to some sequential one — and
 //! inherits the sequential ledger's over-spend bound and dust-debit
-//! guard unchanged. Both-column (ε, δ) debits reserve ε first and δ
+//! guard unchanged. Both-column (ε, δ) reservations take ε first and δ
 //! second; a δ refusal rolls back exactly the ε amount that was applied
 //! (post-clamp), so a refused approximate debit leaves both columns
 //! untouched at quiescence and is only ever *conservative* (transiently
 //! inflated) in between.
 //!
-//! The two-phase [`begin_budget`](SharedLedger::begin_budget) /
+//! Every debit runs the two-phase [`begin`](SharedLedger::begin) /
 //! [`settle`](SharedLedger::settle) / [`abort`](SharedLedger::abort)
-//! path used by the serving runtime reserves on the same lock-free
-//! columns; only the small settlement bookkeeping (the pending-intent
-//! map) takes a mutex, and a *refused* reservation never touches it —
+//! protocol. Only the small settlement bookkeeping (the pending-intent
+//! map and, for a ledger opened with [`SharedLedger::open`], the journal)
+//! takes a mutex, and a *refused* reservation never touches it —
 //! admission-storm traffic against an exhausted tenant runs entirely
-//! lock-free.
+//! lock-free. Durability is chosen by the constructor:
+//! [`SharedLedger::new`] keeps the ledger in memory,
+//! [`SharedLedger::open`] journals every intent, settle and abort (see
+//! [`crate::durable`] for the crash semantics).
 //!
 //! The type is a cheap `Arc` handle: clones share the same ledger, so a
 //! scheduler thread can admission-[`check`](SharedLedger::check) while
 //! workers reserve and settle after each successful release
 //! (debit-after-success: a refused release never spends).
 
-use crate::budget::{Budget, Epsilon};
+use crate::budget::Budget;
+use crate::durable::DurableError;
+use crate::journal::{LedgerJournal, Record};
 use crate::ledger::{BudgetError, BudgetLedger, RELATIVE_SLACK};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A cloneable, thread-safe [`BudgetLedger`] with a lock-free debit path.
+/// A cloneable, thread-safe, optionally journaled [`BudgetLedger`] with a
+/// lock-free reservation path.
 ///
 /// ```
 /// use lrm_dp::{concurrent::SharedLedger, Epsilon};
@@ -78,13 +84,15 @@ struct Inner {
     settle: Mutex<Settlement>,
 }
 
-#[derive(Default)]
 struct Settlement {
     /// Intent id → the (ε, δ) actually applied to the columns at
     /// reservation (post-clamp), so an abort refunds exactly what was
     /// taken.
     pending: HashMap<u64, (f64, f64)>,
     next_id: u64,
+    /// The write-ahead journal of a ledger opened with
+    /// [`SharedLedger::open`]; `None` keeps the ledger in memory.
+    journal: Option<LedgerJournal>,
 }
 
 /// One lock-free check-and-debit over a single spend column. Replicates
@@ -149,22 +157,35 @@ fn column_check(bits: &AtomicU64, total: f64, amount: f64) -> Result<(), f64> {
 }
 
 impl SharedLedger {
-    /// Opens a shared pure-ε ledger holding `total` as the overall
-    /// guarantee (δ-total 0: approximate-DP debits are refused).
-    pub fn new(total: Epsilon) -> Self {
-        Self::with_budget(Budget::pure(total))
+    /// Opens an in-memory ledger enforcing an overall (ε, δ) guarantee.
+    /// An [`Epsilon`](crate::Epsilon) total opens a pure ledger (δ-total
+    /// 0: approximate-DP debits are refused).
+    pub fn new(total: impl Into<Budget>) -> Self {
+        Self::restored(total.into(), 0.0, 0.0, 0, 0, None)
     }
 
-    /// Opens a shared ledger enforcing an overall (ε, δ) guarantee.
-    pub fn with_budget(total: Budget) -> Self {
+    /// A ledger resuming from a replayed journal: settled spend in both
+    /// columns, settled debits, and the next intent id.
+    pub(crate) fn restored(
+        total: Budget,
+        spent: f64,
+        delta_spent: f64,
+        debits: usize,
+        next_id: u64,
+        journal: Option<LedgerJournal>,
+    ) -> Self {
         Self {
             inner: Arc::new(Inner {
                 total: total.eps().value(),
                 delta_total: total.delta(),
-                spent_bits: AtomicU64::new(0.0f64.to_bits()),
-                delta_spent_bits: AtomicU64::new(0.0f64.to_bits()),
-                debits: AtomicUsize::new(0),
-                settle: Mutex::new(Settlement::default()),
+                spent_bits: AtomicU64::new(spent.to_bits()),
+                delta_spent_bits: AtomicU64::new(delta_spent.to_bits()),
+                debits: AtomicUsize::new(debits),
+                settle: Mutex::new(Settlement {
+                    pending: HashMap::new(),
+                    next_id,
+                    journal,
+                }),
             }),
         }
     }
@@ -218,27 +239,25 @@ impl SharedLedger {
         }
     }
 
-    /// Side-effect-free admission check: could `eps` be debited right now?
+    /// Side-effect-free admission check over both (ε, δ) columns: could
+    /// `budget` be reserved right now? A pure (δ = 0) budget never
+    /// consults the δ column, so pure traffic still flows through a
+    /// δ-exhausted ledger.
     ///
     /// Under contention this is advisory — another thread may spend the
     /// budget between a successful `check` and the later
-    /// [`debit`](SharedLedger::debit) — which
-    /// is precisely why the debit re-validates atomically. Use `check` to
-    /// fail fast at admission, never as a reservation.
-    pub fn check(&self, eps: Epsilon) -> Result<(), BudgetError> {
-        column_check(&self.inner.spent_bits, self.inner.total, eps.value()).map_err(|remaining| {
+    /// [`begin`](SharedLedger::begin) — which is precisely why the
+    /// reservation re-validates atomically. Use `check` to fail fast at
+    /// admission, never as a reservation.
+    pub fn check(&self, budget: impl Into<Budget>) -> Result<(), BudgetError> {
+        let budget = budget.into();
+        let eps = budget.eps().value();
+        column_check(&self.inner.spent_bits, self.inner.total, eps).map_err(|remaining| {
             BudgetError::Exhausted {
-                requested: eps.value(),
+                requested: eps,
                 remaining,
             }
-        })
-    }
-
-    /// Side-effect-free admission check over both (ε, δ) columns. A pure
-    /// (δ = 0) budget never consults the δ column, so pure traffic still
-    /// flows through a δ-exhausted ledger.
-    pub fn check_budget(&self, budget: Budget) -> Result<(), BudgetError> {
-        self.check(budget.eps())?;
+        })?;
         let delta = budget.delta();
         if delta > 0.0 {
             column_check(&self.inner.delta_spent_bits, self.inner.delta_total, delta).map_err(
@@ -251,55 +270,93 @@ impl SharedLedger {
         Ok(())
     }
 
-    /// Atomically check-and-debit `eps`, returning the remaining budget.
+    /// Single-phase debit: [`begin`](SharedLedger::begin) + immediate
+    /// [`settle`](SharedLedger::settle), returning the remaining ε (the
+    /// δ remainder is available via [`SharedLedger::delta_remaining`]).
     ///
-    /// Exactly the sequential [`BudgetLedger::debit`] semantics — one
-    /// CAS is the whole critical section, so the cumulative ε granted
-    /// across all threads can never exceed the total by more than the
-    /// documented one-slack bound.
-    pub fn debit(&self, eps: Epsilon) -> Result<f64, BudgetError> {
-        self.debit_budget(Budget::pure(eps))
+    /// One CAS per column is the whole admission critical section, so
+    /// the cumulative budget granted across all threads can never exceed
+    /// the total by more than the documented one-slack bound.
+    pub fn debit(&self, budget: impl Into<Budget>) -> Result<f64, DurableError> {
+        let id = self.begin(budget)?;
+        Ok(self.settle(id))
     }
 
-    /// Atomically check-and-debit an (ε, δ) budget, returning the
-    /// remaining ε (the δ remainder is available via
-    /// [`SharedLedger::delta_remaining`]).
-    pub fn debit_budget(&self, budget: Budget) -> Result<f64, BudgetError> {
-        self.reserve(budget)?;
-        self.inner.debits.fetch_add(1, Ordering::Relaxed);
-        Ok(self.remaining())
-    }
-
-    /// Phase one of a two-phase settlement: reserves `budget` (both
-    /// columns, counted as spent for every concurrent check) and records
-    /// a pending intent. The reservation itself is lock-free; only the
-    /// intent bookkeeping takes the settlement mutex, and a refused
-    /// reservation returns before ever touching it.
-    pub fn begin_budget(&self, budget: Budget) -> Result<u64, BudgetError> {
-        let applied = self.reserve(budget)?;
+    /// Phase one of a debit: reserves `budget` on both columns (counted
+    /// as spent for every concurrent check), then records the pending
+    /// intent — appending a fsync'd `Intent` record first on a journaled
+    /// ledger. Only after this returns `Ok` may noise be drawn for the
+    /// release it covers. On `Err` nothing is reserved: a refused
+    /// reservation returns before ever taking the settlement mutex, and a
+    /// failed journal append rolls both columns back.
+    pub fn begin(&self, budget: impl Into<Budget>) -> Result<u64, DurableError> {
+        let budget = budget.into();
+        let (eps, delta) = self.reserve(budget)?;
         let mut settlement = self.settlement();
         let id = settlement.next_id;
+        if let Some(journal) = &mut settlement.journal {
+            // An append failure may still have torn bytes onto disk;
+            // replay drops a torn tail, consistent with "no noise was
+            // drawn for this debit".
+            let intent = Record::Intent {
+                id,
+                eps: budget.eps().value(),
+                delta: budget.delta(),
+            };
+            if let Err(e) = journal.append(&intent) {
+                drop(settlement);
+                column_rollback(&self.inner.spent_bits, eps);
+                column_rollback(&self.inner.delta_spent_bits, delta);
+                return Err(DurableError::Io(e));
+            }
+        }
         settlement.next_id += 1;
-        settlement.pending.insert(id, applied);
+        settlement.pending.insert(id, (eps, delta));
         Ok(id)
     }
 
+    /// [`SharedLedger::begin`] under its older name, kept because the
+    /// `perfbench` harness, which must build unchanged, calls it.
+    pub fn begin_budget(&self, budget: Budget) -> Result<u64, DurableError> {
+        self.begin(budget)
+    }
+
     /// Phase two, success path: finalizes intent `id` and returns the
-    /// remaining ε. Settling an unknown (or already-settled) id only
-    /// reports the remainder. Never refuses — admission happened at
-    /// [`begin_budget`](SharedLedger::begin_budget).
+    /// remaining ε. Must be called *before* the noisy answer escapes the
+    /// process. Settling an unknown (or already-settled) id only reports
+    /// the remainder, so a supervisor replaying work cannot
+    /// double-debit. Never refuses — admission happened at
+    /// [`begin`](SharedLedger::begin) — and tolerates a failed `Settle`
+    /// append: the on-disk intent already replays as spent.
     pub fn settle(&self, id: u64) -> f64 {
-        if self.settlement().pending.remove(&id).is_some() {
+        let mut settlement = self.settlement();
+        if settlement.pending.remove(&id).is_some() {
             self.inner.debits.fetch_add(1, Ordering::Relaxed);
+            if let Some(journal) = &mut settlement.journal {
+                let _ = journal.append(&Record::Settle { id });
+            }
         }
+        drop(settlement);
         self.remaining()
     }
 
-    /// Phase two, failure path: refunds intent `id`, returning exactly
-    /// the post-clamp amounts its reservation applied. Aborting an
-    /// unknown id is a no-op.
+    /// Phase two, failure path: refunds intent `id`, whose noise was
+    /// never released, returning exactly the post-clamp amounts its
+    /// reservation applied. On a journaled ledger the refund happens
+    /// only if the `Abort` record is durably appended; otherwise the
+    /// reservation is kept forever (conservative — the on-disk intent
+    /// would replay as spent). Aborting an unknown id is a no-op.
     pub fn abort(&self, id: u64) {
-        if let Some((eps, delta)) = self.settlement().pending.remove(&id) {
+        let mut settlement = self.settlement();
+        let Some((eps, delta)) = settlement.pending.remove(&id) else {
+            return;
+        };
+        let refund = match &mut settlement.journal {
+            Some(journal) => journal.append(&Record::Abort { id }).is_ok(),
+            None => true,
+        };
+        drop(settlement);
+        if refund {
             column_rollback(&self.inner.spent_bits, eps);
             column_rollback(&self.inner.delta_spent_bits, delta);
         }
@@ -386,6 +443,7 @@ impl fmt::Display for SharedLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Epsilon;
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
@@ -415,7 +473,7 @@ mod tests {
         assert!(l.is_exhausted());
         assert!(matches!(
             l.debit(eps(0.1)),
-            Err(BudgetError::Exhausted { .. })
+            Err(DurableError::Budget(BudgetError::Exhausted { .. }))
         ));
     }
 
@@ -432,12 +490,12 @@ mod tests {
 
     #[test]
     fn two_phase_reserve_settle_abort() {
-        let l = SharedLedger::with_budget(budget(1.0, 1e-5));
-        let id = l.begin_budget(budget(0.7, 4e-6)).unwrap();
+        let l = SharedLedger::new(budget(1.0, 1e-5));
+        let id = l.begin(budget(0.7, 4e-6)).unwrap();
         assert_eq!(l.pending(), 1);
         // The live reservation counts as spent for concurrent checks.
         assert!(l.check(eps(0.5)).is_err());
-        assert!(l.check_budget(budget(0.1, 7e-6)).is_err());
+        assert!(l.check(budget(0.1, 7e-6)).is_err());
         l.abort(id);
         assert_eq!(l.pending(), 0);
         assert_eq!(l.debits(), 0);
@@ -445,7 +503,7 @@ mod tests {
         assert!((l.spent()).abs() < 1e-15);
         assert!((l.delta_spent()).abs() < 1e-20);
 
-        let id = l.begin_budget(budget(0.7, 4e-6)).unwrap();
+        let id = l.begin(budget(0.7, 4e-6)).unwrap();
         let remaining = l.settle(id);
         assert!((remaining - 0.3).abs() < 1e-12);
         assert!((l.delta_remaining() - 6e-6).abs() < 1e-18);
@@ -459,18 +517,21 @@ mod tests {
 
     #[test]
     fn delta_refusal_rolls_back_the_eps_column() {
-        let l = SharedLedger::with_budget(budget(1.0, 1e-6));
+        let l = SharedLedger::new(budget(1.0, 1e-6));
         // ε fits, δ does not: neither column may hold anything after.
-        let err = l.debit_budget(budget(0.1, 2e-6)).unwrap_err();
-        assert!(matches!(err, BudgetError::DeltaExhausted { .. }));
+        let err = l.debit(budget(0.1, 2e-6)).unwrap_err();
+        assert!(matches!(
+            err,
+            DurableError::Budget(BudgetError::DeltaExhausted { .. })
+        ));
         assert_eq!(l.spent(), 0.0);
         assert_eq!(l.delta_spent(), 0.0);
         assert_eq!(l.debits(), 0);
         // Pure traffic still flows after δ exhaustion.
-        l.debit_budget(budget(0.1, 1e-6)).unwrap();
+        l.debit(budget(0.1, 1e-6)).unwrap();
         assert!(l.is_delta_exhausted());
-        assert!(l.debit_budget(budget(0.1, 1e-18)).is_err());
-        l.debit_budget(budget(0.2, 0.0)).unwrap();
+        assert!(l.debit(budget(0.1, 1e-18)).is_err());
+        l.debit(budget(0.2, 0.0)).unwrap();
         assert!((l.spent() - 0.3).abs() < 1e-15);
     }
 
@@ -479,8 +540,8 @@ mod tests {
         let l = SharedLedger::new(eps(1.0));
         assert_eq!(l.delta_total(), 0.0);
         assert!(l.is_delta_exhausted());
-        assert!(l.debit_budget(budget(0.1, 1e-12)).is_err());
-        l.debit_budget(budget(0.1, 0.0)).unwrap();
+        assert!(l.debit(budget(0.1, 1e-12)).is_err());
+        l.debit(budget(0.1, 0.0)).unwrap();
         assert_eq!(l.debits(), 1);
     }
 
@@ -494,7 +555,7 @@ mod tests {
         })
         .join();
         // The ledger stays usable and consistent after the panic.
-        let id = l.begin_budget(budget(0.5, 0.0)).unwrap();
+        let id = l.begin(budget(0.5, 0.0)).unwrap();
         l.settle(id);
         assert!((l.spent() - 0.5).abs() < 1e-15);
     }

@@ -1,21 +1,19 @@
-//! Crash-durable (ε, δ)-budget accounting: [`DurableLedger`].
+//! Crash-durable (ε, δ)-budget accounting: [`SharedLedger::open`].
 //!
-//! A [`DurableLedger`] wraps the sequential [`BudgetLedger`] with a
-//! two-phase debit protocol and (optionally) the write-ahead journal of
-//! [`crate::journal`]:
+//! A ledger opened on a journal path runs the same two-phase debit
+//! protocol as an in-memory one, with the write-ahead journal of
+//! [`crate::journal`] under it:
 //!
-//! 1. [`begin`](DurableLedger::begin) *reserves* the budget and appends
+//! 1. [`begin`](SharedLedger::begin) *reserves* the budget and appends
 //!    a fsync'd `Intent` record — only after this may noise be drawn;
-//! 2. [`settle`](DurableLedger::settle) finalizes the debit once the
+//! 2. [`settle`](SharedLedger::settle) finalizes the debit once the
 //!    noisy answer is (about to be) released;
-//! 3. [`abort`](DurableLedger::abort) refunds a reservation whose
+//! 3. [`abort`](SharedLedger::abort) refunds a reservation whose
 //!    noise was never released.
 //!
-//! The same API works without a journal
-//! ([`in_memory`](DurableLedger::in_memory)) so callers need not
-//! branch on durability. Approximate-DP ledgers track a δ column next
-//! to ε through the whole protocol — intents reserve both, settles
-//! spend both, aborts refund both — using the v2 journal frames.
+//! Approximate-DP ledgers track a δ column next to ε through the whole
+//! protocol — intents reserve both, settles spend both, aborts refund
+//! both — using the v2 journal frames.
 //!
 //! # Conservative by construction
 //!
@@ -24,63 +22,32 @@
 //!
 //! * a journal replay counts unsettled intents as spent — a kill
 //!   between intent and settle wastes the reserved (ε, δ) at worst;
-//! * [`settle`](DurableLedger::settle) debits locally even when its
+//! * [`begin`](SharedLedger::begin) rolls its reservation back when the
+//!   `Intent` append fails, and no noise may be drawn for it;
+//! * [`settle`](SharedLedger::settle) debits locally even when its
 //!   journal append fails (the on-disk intent already replays as
 //!   spent, so local and durable views agree);
-//! * [`abort`](DurableLedger::abort) refunds only when the `Abort`
+//! * [`abort`](SharedLedger::abort) refunds only when the `Abort`
 //!   record is durably appended; if the append fails, the reservation
 //!   is kept forever (budget lost, guarantee intact);
 //! * a journal with damage before its final frame opens fully
 //!   exhausted — ε *and* δ.
 
-use crate::budget::{Budget, Epsilon};
-use crate::journal::{LedgerJournal, Record};
-use crate::ledger::{BudgetError, BudgetLedger};
-use std::collections::HashMap;
+use crate::budget::Budget;
+use crate::concurrent::SharedLedger;
+use crate::journal::LedgerJournal;
+use crate::ledger::BudgetError;
 use std::fmt;
 use std::io;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
 
-/// A thread-safe, optionally journal-backed two-phase budget ledger.
-///
-/// Cloning is cheap and shares the underlying state (like
-/// [`crate::SharedLedger`]).
-#[derive(Debug, Clone)]
-pub struct DurableLedger {
-    inner: Arc<Mutex<Inner>>,
-}
+/// The journaled ledger's former type name, kept as an alias because the
+/// `perfbench` harness, which must build unchanged, names it.
+pub type DurableLedger = SharedLedger;
 
-#[derive(Debug)]
-struct Inner {
-    /// Settled (released) spend, both columns.
-    ledger: BudgetLedger,
-    /// ε reserved by live intents, not yet settled or aborted.
-    reserved: f64,
-    /// δ reserved by live intents.
-    reserved_delta: f64,
-    /// Live intents: id → reserved (ε, δ).
-    pending: HashMap<u64, (f64, f64)>,
-    next_id: u64,
-    journal: Option<LedgerJournal>,
-}
-
-impl Inner {
-    /// The ledger as admission control must see it: reservations count
-    /// as spent, because a crash would replay them that way.
-    fn view(&self) -> BudgetLedger {
-        BudgetLedger::restore(
-            self.ledger.total(),
-            self.ledger.spent() + self.reserved,
-            self.ledger.delta_total(),
-            self.ledger.delta_spent() + self.reserved_delta,
-            self.ledger.debits(),
-        )
-    }
-}
-
-/// What [`DurableLedger::open`] found on disk.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// What [`SharedLedger::open`] found on disk (all zero for an in-memory
+/// ledger).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResumeSummary {
     /// Whether a prior journal with the same total was honored (false
     /// for a fresh ledger or a total change, which resets the grant).
@@ -135,34 +102,7 @@ impl From<BudgetError> for DurableError {
     }
 }
 
-impl DurableLedger {
-    /// A pure ε-DP ledger with no journal: same two-phase API,
-    /// process-lifetime durability (the previous behavior of the
-    /// serving runtime).
-    pub fn in_memory(total: Epsilon) -> Self {
-        Self::in_memory_budget(Budget::pure(total))
-    }
-
-    /// An (ε, δ) ledger with no journal.
-    pub fn in_memory_budget(total: Budget) -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(Inner {
-                ledger: BudgetLedger::with_budget(total),
-                reserved: 0.0,
-                reserved_delta: 0.0,
-                pending: HashMap::new(),
-                next_id: 0,
-                journal: None,
-            })),
-        }
-    }
-
-    /// Opens (creating if absent) the journal at `path` for a pure
-    /// ε-DP grant. See [`DurableLedger::open_budget`].
-    pub fn open(path: &Path, total: Epsilon) -> io::Result<(Self, ResumeSummary)> {
-        Self::open_budget(path, Budget::pure(total))
-    }
-
+impl SharedLedger {
     /// Opens (creating if absent) the journal at `path`, replays it,
     /// and compacts it.
     ///
@@ -176,7 +116,8 @@ impl DurableLedger {
     /// approximate-DP grant its δ-total of 0 differs from the new
     /// grant, so the grant resets — a v1 history can never be
     /// mistaken for δ spend.
-    pub fn open_budget(path: &Path, total: Budget) -> io::Result<(Self, ResumeSummary)> {
+    pub fn open(path: &Path, total: impl Into<Budget>) -> io::Result<(Self, ResumeSummary)> {
+        let total = total.into();
         let rep = LedgerJournal::replay_file(path)?;
         let pending_sum: f64 = rep.pending.values().map(|(e, _)| e).sum();
         let pending_delta: f64 = rep.pending.values().map(|(_, d)| d).sum();
@@ -221,195 +162,23 @@ impl DurableLedger {
             },
         };
         Ok((
-            Self {
-                inner: Arc::new(Mutex::new(Inner {
-                    ledger: BudgetLedger::restore(
-                        total_eps,
-                        settled,
-                        total_delta,
-                        settled_delta,
-                        debits as usize,
-                    ),
-                    reserved: 0.0,
-                    reserved_delta: 0.0,
-                    pending: HashMap::new(),
-                    next_id: rep.next_id,
-                    journal: Some(journal),
-                })),
-            },
+            Self::restored(
+                total,
+                settled,
+                settled_delta,
+                debits as usize,
+                rep.next_id,
+                Some(journal),
+            ),
             summary,
         ))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Whether `eps` could currently be reserved (reservations held by
-    /// in-flight debits count as spent).
-    pub fn check(&self, eps: Epsilon) -> Result<(), BudgetError> {
-        self.lock().view().check(eps)
-    }
-
-    /// Whether an (ε, δ) budget could currently be reserved.
-    pub fn check_budget(&self, budget: Budget) -> Result<(), BudgetError> {
-        self.lock().view().check_budget(budget)
-    }
-
-    /// Phase one of a pure ε-DP debit. See
-    /// [`DurableLedger::begin_budget`].
-    pub fn begin(&self, eps: Epsilon) -> Result<u64, DurableError> {
-        self.begin_budget(Budget::pure(eps))
-    }
-
-    /// Phase one of a debit: reserves the (ε, δ) budget and durably
-    /// records the intent. Only after this returns `Ok` may noise be
-    /// drawn for the release it covers. On `Err`, nothing is reserved
-    /// and nothing may be released.
-    pub fn begin_budget(&self, budget: Budget) -> Result<u64, DurableError> {
-        let mut inner = self.lock();
-        inner.view().check_budget(budget)?;
-        let id = inner.next_id;
-        if let Some(journal) = &mut inner.journal {
-            // An append failure may still have torn bytes onto disk;
-            // replay drops a torn tail, consistent with "no noise was
-            // drawn for this debit".
-            journal
-                .append(&Record::Intent {
-                    id,
-                    eps: budget.eps().value(),
-                    delta: budget.delta(),
-                })
-                .map_err(DurableError::Io)?;
-        }
-        inner.next_id += 1;
-        inner
-            .pending
-            .insert(id, (budget.eps().value(), budget.delta()));
-        inner.reserved += budget.eps().value();
-        inner.reserved_delta += budget.delta();
-        Ok(id)
-    }
-
-    /// Phase two, success path: finalizes debit `id` and returns the
-    /// remaining ε budget. Must be called *before* the noisy answer
-    /// escapes the process. Unknown ids are a no-op (tolerated so a
-    /// supervisor replaying work cannot double-debit).
-    pub fn settle(&self, id: u64) -> f64 {
-        let mut inner = self.lock();
-        let Some((eps, delta)) = inner.pending.remove(&id) else {
-            return inner.view().remaining();
-        };
-        inner.reserved = (inner.reserved - eps).max(0.0);
-        inner.reserved_delta = (inner.reserved_delta - delta).max(0.0);
-        // Force the local debit (never refuse): admission was checked at
-        // begin() and the release is already committed to happen.
-        inner.ledger = BudgetLedger::restore(
-            inner.ledger.total(),
-            inner.ledger.spent() + eps,
-            inner.ledger.delta_total(),
-            inner.ledger.delta_spent() + delta,
-            inner.ledger.debits() + 1,
-        );
-        if let Some(journal) = &mut inner.journal {
-            // Tolerated on failure: the on-disk intent replays as spent,
-            // which is exactly the local state we just committed.
-            let _ = journal.append(&Record::Settle { id });
-        }
-        inner.view().remaining()
-    }
-
-    /// Phase two, failure path: refunds debit `id` whose noise was
-    /// never released. The refund only happens if the `Abort` record is
-    /// durably appended; otherwise the reservation is kept forever
-    /// (conservative — the on-disk intent would replay as spent).
-    pub fn abort(&self, id: u64) {
-        let mut inner = self.lock();
-        let Some((eps, delta)) = inner.pending.remove(&id) else {
-            return;
-        };
-        let refund = match &mut inner.journal {
-            Some(journal) => journal.append(&Record::Abort { id }).is_ok(),
-            None => true,
-        };
-        if refund {
-            inner.reserved = (inner.reserved - eps).max(0.0);
-            inner.reserved_delta = (inner.reserved_delta - delta).max(0.0);
-        }
-    }
-
-    /// Convenience single-phase debit: `begin` + immediate `settle`.
-    pub fn debit(&self, eps: Epsilon) -> Result<f64, DurableError> {
-        let id = self.begin(eps)?;
-        Ok(self.settle(id))
-    }
-
-    /// Convenience single-phase (ε, δ) debit.
-    pub fn debit_budget(&self, budget: Budget) -> Result<f64, DurableError> {
-        let id = self.begin_budget(budget)?;
-        Ok(self.settle(id))
-    }
-
-    /// The fixed total ε.
-    pub fn total(&self) -> f64 {
-        self.lock().ledger.total()
-    }
-
-    /// The fixed total δ (0 for a pure ε-DP ledger).
-    pub fn delta_total(&self) -> f64 {
-        self.lock().ledger.delta_total()
-    }
-
-    /// Settled (released) ε spend — excludes live reservations.
-    pub fn spent(&self) -> f64 {
-        self.lock().ledger.spent()
-    }
-
-    /// Settled (released) δ spend — excludes live reservations.
-    pub fn delta_spent(&self) -> f64 {
-        self.lock().ledger.delta_spent()
-    }
-
-    /// ε reserved by in-flight debits.
-    pub fn reserved(&self) -> f64 {
-        self.lock().reserved
-    }
-
-    /// δ reserved by in-flight debits.
-    pub fn reserved_delta(&self) -> f64 {
-        self.lock().reserved_delta
-    }
-
-    /// ε budget available for new reservations.
-    pub fn remaining(&self) -> f64 {
-        self.lock().view().remaining()
-    }
-
-    /// δ budget available for new reservations.
-    pub fn delta_remaining(&self) -> f64 {
-        self.lock().view().delta_remaining()
-    }
-
-    /// Number of settled debits.
-    pub fn debits(&self) -> usize {
-        self.lock().ledger.debits()
-    }
-
-    /// Whether reservations have (numerically) exhausted the ε budget.
-    pub fn is_exhausted(&self) -> bool {
-        self.lock().view().is_exhausted()
-    }
-
-    /// A point-in-time copy of the *settled* accounting (reservations
-    /// excluded), for reporting.
-    pub fn snapshot(&self) -> BudgetLedger {
-        self.lock().ledger.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Epsilon;
     use std::path::PathBuf;
 
     fn eps(v: f64) -> Epsilon {
@@ -426,7 +195,7 @@ mod tests {
 
     #[test]
     fn in_memory_two_phase_debit() {
-        let ledger = DurableLedger::in_memory(eps(1.0));
+        let ledger = SharedLedger::new(eps(1.0));
         let id = ledger.begin(eps(0.4)).unwrap();
         // Reserved ε gates admission before it is settled.
         assert!(ledger.check(eps(0.7)).is_err());
@@ -438,7 +207,7 @@ mod tests {
 
     #[test]
     fn abort_refunds_in_memory() {
-        let ledger = DurableLedger::in_memory(eps(1.0));
+        let ledger = SharedLedger::new(eps(1.0));
         let id = ledger.begin(eps(0.9)).unwrap();
         assert!(ledger.begin(eps(0.5)).is_err());
         ledger.abort(id);
@@ -447,7 +216,7 @@ mod tests {
 
     #[test]
     fn settle_of_unknown_id_is_a_noop() {
-        let ledger = DurableLedger::in_memory(eps(1.0));
+        let ledger = SharedLedger::new(eps(1.0));
         let before = ledger.spent();
         ledger.settle(42);
         ledger.abort(42);
@@ -460,12 +229,12 @@ mod tests {
         let path = tmp("reopen");
         let _ = std::fs::remove_file(&path);
         {
-            let (ledger, summary) = DurableLedger::open(&path, eps(2.0)).unwrap();
+            let (ledger, summary) = SharedLedger::open(&path, eps(2.0)).unwrap();
             assert!(!summary.resumed);
             ledger.debit(eps(0.5)).unwrap();
             ledger.debit(eps(0.25)).unwrap();
         }
-        let (ledger, summary) = DurableLedger::open(&path, eps(2.0)).unwrap();
+        let (ledger, summary) = SharedLedger::open(&path, eps(2.0)).unwrap();
         assert!(summary.resumed);
         assert!(!summary.corrupted);
         assert!((summary.spent - 0.75).abs() < 1e-12);
@@ -479,11 +248,11 @@ mod tests {
         let path = tmp("pending");
         let _ = std::fs::remove_file(&path);
         {
-            let (ledger, _) = DurableLedger::open(&path, eps(1.0)).unwrap();
+            let (ledger, _) = SharedLedger::open(&path, eps(1.0)).unwrap();
             let _id = ledger.begin(eps(0.5)).unwrap();
             // Process "dies" here: intent durably recorded, never settled.
         }
-        let (ledger, summary) = DurableLedger::open(&path, eps(1.0)).unwrap();
+        let (ledger, summary) = SharedLedger::open(&path, eps(1.0)).unwrap();
         assert!((summary.recovered_pending - 0.5).abs() < 1e-12);
         assert!((ledger.spent() - 0.5).abs() < 1e-12);
         // The recovered spend gates new debits.
@@ -497,11 +266,11 @@ mod tests {
         let path = tmp("abort");
         let _ = std::fs::remove_file(&path);
         {
-            let (ledger, _) = DurableLedger::open(&path, eps(1.0)).unwrap();
+            let (ledger, _) = SharedLedger::open(&path, eps(1.0)).unwrap();
             let id = ledger.begin(eps(0.5)).unwrap();
             ledger.abort(id);
         }
-        let (ledger, _) = DurableLedger::open(&path, eps(1.0)).unwrap();
+        let (ledger, _) = SharedLedger::open(&path, eps(1.0)).unwrap();
         assert_eq!(ledger.spent(), 0.0);
         let _ = std::fs::remove_file(&path);
     }
@@ -511,10 +280,10 @@ mod tests {
         let path = tmp("regrant");
         let _ = std::fs::remove_file(&path);
         {
-            let (ledger, _) = DurableLedger::open(&path, eps(1.0)).unwrap();
+            let (ledger, _) = SharedLedger::open(&path, eps(1.0)).unwrap();
             ledger.debit(eps(0.8)).unwrap();
         }
-        let (ledger, summary) = DurableLedger::open(&path, eps(3.0)).unwrap();
+        let (ledger, summary) = SharedLedger::open(&path, eps(3.0)).unwrap();
         assert!(!summary.resumed);
         assert_eq!(ledger.spent(), 0.0);
         assert_eq!(ledger.total(), 3.0);
@@ -526,7 +295,7 @@ mod tests {
         let path = tmp("corrupt");
         let _ = std::fs::remove_file(&path);
         {
-            let (ledger, _) = DurableLedger::open(&path, eps(1.0)).unwrap();
+            let (ledger, _) = SharedLedger::open(&path, eps(1.0)).unwrap();
             ledger.debit(eps(0.1)).unwrap();
             ledger.debit(eps(0.1)).unwrap();
         }
@@ -535,7 +304,7 @@ mod tests {
         bytes[10] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
 
-        let (ledger, summary) = DurableLedger::open(&path, eps(1.0)).unwrap();
+        let (ledger, summary) = SharedLedger::open(&path, eps(1.0)).unwrap();
         assert!(summary.corrupted);
         assert!(ledger.is_exhausted());
         assert!(ledger.begin(eps(0.05)).is_err());
@@ -548,18 +317,18 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let grant = budget(2.0, 1e-5);
         {
-            let (ledger, summary) = DurableLedger::open_budget(&path, grant).unwrap();
+            let (ledger, summary) = SharedLedger::open(&path, grant).unwrap();
             assert!(!summary.resumed);
-            ledger.debit_budget(budget(0.5, 4e-6)).unwrap();
+            ledger.debit(budget(0.5, 4e-6)).unwrap();
         }
-        let (ledger, summary) = DurableLedger::open_budget(&path, grant).unwrap();
+        let (ledger, summary) = SharedLedger::open(&path, grant).unwrap();
         assert!(summary.resumed);
         assert!((summary.delta_spent - 4e-6).abs() < 1e-18);
         assert!((ledger.delta_spent() - 4e-6).abs() < 1e-18);
         assert_eq!(ledger.delta_total(), 1e-5);
         // The recovered δ spend gates new δ debits.
-        assert!(ledger.debit_budget(budget(0.1, 7e-6)).is_err());
-        assert!(ledger.debit_budget(budget(0.1, 6e-6)).is_ok());
+        assert!(ledger.debit(budget(0.1, 7e-6)).is_err());
+        assert!(ledger.debit(budget(0.1, 6e-6)).is_ok());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -572,14 +341,14 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let grant = budget(1.0, 1e-5);
         {
-            let (ledger, _) = DurableLedger::open_budget(&path, grant).unwrap();
-            let _id = ledger.begin_budget(budget(0.5, 4e-6)).unwrap();
+            let (ledger, _) = SharedLedger::open(&path, grant).unwrap();
+            let _id = ledger.begin(budget(0.5, 4e-6)).unwrap();
             // Process "dies" here.
         }
-        let (ledger, summary) = DurableLedger::open_budget(&path, grant).unwrap();
+        let (ledger, summary) = SharedLedger::open(&path, grant).unwrap();
         assert!((summary.recovered_pending_delta - 4e-6).abs() < 1e-18);
         assert!((ledger.delta_spent() - 4e-6).abs() < 1e-18);
-        assert!(ledger.begin_budget(budget(0.1, 7e-6)).is_err());
+        assert!(ledger.begin(budget(0.1, 7e-6)).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -590,10 +359,10 @@ mod tests {
         let path = tmp("delta_regrant");
         let _ = std::fs::remove_file(&path);
         {
-            let (ledger, _) = DurableLedger::open_budget(&path, budget(1.0, 1e-5)).unwrap();
-            ledger.debit_budget(budget(0.5, 4e-6)).unwrap();
+            let (ledger, _) = SharedLedger::open(&path, budget(1.0, 1e-5)).unwrap();
+            ledger.debit(budget(0.5, 4e-6)).unwrap();
         }
-        let (ledger, summary) = DurableLedger::open_budget(&path, budget(1.0, 1e-4)).unwrap();
+        let (ledger, summary) = SharedLedger::open(&path, budget(1.0, 1e-4)).unwrap();
         assert!(!summary.resumed);
         assert_eq!(ledger.spent(), 0.0);
         assert_eq!(ledger.delta_spent(), 0.0);
@@ -609,10 +378,10 @@ mod tests {
         let path = tmp("v1_under_approx");
         let _ = std::fs::remove_file(&path);
         {
-            let (ledger, _) = DurableLedger::open(&path, eps(1.0)).unwrap();
+            let (ledger, _) = SharedLedger::open(&path, eps(1.0)).unwrap();
             ledger.debit(eps(0.5)).unwrap();
         }
-        let (ledger, summary) = DurableLedger::open_budget(&path, budget(1.0, 1e-6)).unwrap();
+        let (ledger, summary) = SharedLedger::open(&path, budget(1.0, 1e-6)).unwrap();
         assert!(!summary.resumed);
         assert_eq!(ledger.spent(), 0.0);
         assert_eq!(ledger.delta_total(), 1e-6);
@@ -625,29 +394,30 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let grant = budget(1.0, 1e-5);
         {
-            let (ledger, _) = DurableLedger::open_budget(&path, grant).unwrap();
-            ledger.debit_budget(budget(0.1, 1e-6)).unwrap();
-            ledger.debit_budget(budget(0.1, 1e-6)).unwrap();
+            let (ledger, _) = SharedLedger::open(&path, grant).unwrap();
+            ledger.debit(budget(0.1, 1e-6)).unwrap();
+            ledger.debit(budget(0.1, 1e-6)).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[10] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
 
-        let (ledger, summary) = DurableLedger::open_budget(&path, grant).unwrap();
+        let (ledger, summary) = SharedLedger::open(&path, grant).unwrap();
         assert!(summary.corrupted);
         assert!(ledger.is_exhausted());
         assert_eq!(ledger.delta_remaining(), 0.0);
-        assert!(ledger.begin_budget(budget(0.01, 1e-9)).is_err());
+        assert!(ledger.begin(budget(0.01, 1e-9)).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn abort_refunds_delta() {
-        let ledger = DurableLedger::in_memory_budget(budget(1.0, 1e-6));
-        let id = ledger.begin_budget(budget(0.5, 1e-6)).unwrap();
-        assert!(ledger.check_budget(budget(0.1, 1e-9)).is_err());
+        let ledger = SharedLedger::new(budget(1.0, 1e-6));
+        let id = ledger.begin(budget(0.5, 1e-6)).unwrap();
+        assert!(ledger.check(budget(0.1, 1e-9)).is_err());
         ledger.abort(id);
-        assert_eq!(ledger.reserved_delta(), 0.0);
-        assert!(ledger.check_budget(budget(0.1, 1e-7)).is_ok());
+        assert_eq!(ledger.pending(), 0);
+        assert_eq!(ledger.delta_spent(), 0.0);
+        assert!(ledger.check(budget(0.1, 1e-7)).is_ok());
     }
 }

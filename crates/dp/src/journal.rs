@@ -3,8 +3,8 @@
 //! The serving runtime's privacy guarantee must be an invariant of the
 //! *deployment*, not of one process lifetime — a crash must never act as
 //! a budget refill. This module provides the on-disk format and replay
-//! logic backing [`crate::DurableLedger`]: an append-only, CRC-framed
-//! journal (`LRMJ`) recording a debit *intent* before any noise is
+//! logic behind [`crate::SharedLedger::open`]: an append-only,
+//! CRC-framed journal (`LRMJ`) recording a debit *intent* before any noise is
 //! drawn and a *settle*/*abort* after, each append fsync'd before its
 //! effect is allowed to escape the process.
 //!

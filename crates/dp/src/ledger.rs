@@ -23,7 +23,7 @@ pub(crate) const RELATIVE_SLACK: f64 = 1e-9;
 /// Sequential composition holds coordinate-wise for (ε, δ): releases with
 /// budgets `(ε₁, δ₁), …, (ε_k, δ_k)` jointly satisfy `(Σεᵢ, Σδᵢ)`-DP, so
 /// the ledger tracks both columns and refuses a debit that would overflow
-/// *either*. A ledger opened with [`BudgetLedger::new`] holds δ-total 0
+/// *either*. A ledger opened with an [`Epsilon`] total holds δ-total 0
 /// and therefore refuses every approximate-DP debit.
 ///
 /// ```
@@ -46,20 +46,11 @@ pub struct BudgetLedger {
 }
 
 impl BudgetLedger {
-    /// Opens a pure ε-DP ledger holding `total` as the overall guarantee
-    /// (δ-total 0: approximate-DP debits are refused).
-    pub fn new(total: Epsilon) -> Self {
-        Self {
-            total: total.value(),
-            spent: 0.0,
-            delta_total: 0.0,
-            delta_spent: 0.0,
-            debits: 0,
-        }
-    }
-
-    /// Opens a ledger enforcing an overall (ε, δ) guarantee.
-    pub fn with_budget(total: Budget) -> Self {
+    /// Opens a ledger enforcing an overall (ε, δ) guarantee. An
+    /// [`Epsilon`] total opens a pure ledger (δ-total 0: approximate-DP
+    /// debits are refused).
+    pub fn new(total: impl Into<Budget>) -> Self {
+        let total = total.into();
         Self {
             total: total.eps().value(),
             spent: 0.0,
@@ -69,9 +60,8 @@ impl BudgetLedger {
         }
     }
 
-    /// Reconstructs a ledger from journal replay (or builds an
-    /// admission view that counts reservations as spent); spends are
-    /// clamped into `[0, total]`, matching [`BudgetLedger::debit`]'s
+    /// Reconstructs a ledger from a point-in-time reading of the shared
+    /// ledger's columns; spends are clamped into `[0, total]`, matching [`BudgetLedger::debit`]'s
     /// own clamp.
     pub(crate) fn restore(
         total: f64,
@@ -119,35 +109,6 @@ impl BudgetLedger {
         Epsilon::new(self.remaining())
     }
 
-    /// Checks whether `eps` could be debited without actually debiting.
-    ///
-    /// An exhausted ledger refuses *every* debit, including ones smaller
-    /// than the rounding slack — otherwise a stream of sub-slack "dust"
-    /// debits could keep releasing forever while `spent` stays clamped at
-    /// `total`. With this guard the true cumulative spend can exceed the
-    /// advertised total by at most one slack (`total × 1e-9`) over the
-    /// ledger's whole lifetime.
-    pub fn check(&self, eps: Epsilon) -> Result<(), BudgetError> {
-        if self.is_exhausted() || eps.value() > self.remaining() + self.total * RELATIVE_SLACK {
-            return Err(BudgetError::Exhausted {
-                requested: eps.value(),
-                remaining: self.remaining(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Debits `eps`, returning the remaining budget; refuses (leaving the
-    /// ledger untouched) when the debit would exceed the total.
-    pub fn debit(&mut self, eps: Epsilon) -> Result<f64, BudgetError> {
-        self.check(eps)?;
-        // The slack can let `spent` creep a few ulps past `total`; clamp so
-        // `remaining`/`spent` never misreport the guarantee.
-        self.spent = (self.spent + eps.value()).min(self.total);
-        self.debits += 1;
-        Ok(self.remaining())
-    }
-
     /// The fixed total δ this ledger enforces (0 for a pure ε-DP ledger).
     pub fn delta_total(&self) -> f64 {
         self.delta_total
@@ -171,13 +132,23 @@ impl BudgetLedger {
 
     /// Checks whether an (ε, δ) debit could go through without debiting.
     ///
-    /// The ε column uses [`BudgetLedger::check`] unchanged; the δ column
-    /// applies the same dust guard — once δ is exhausted, *every*
-    /// positive-δ debit is refused, so sub-slack δ dust cannot compose
-    /// past the advertised total. A pure (δ = 0) debit never consults the
-    /// δ column, so pure traffic still flows through a δ-exhausted ledger.
-    pub fn check_budget(&self, budget: Budget) -> Result<(), BudgetError> {
-        self.check(budget.eps())?;
+    /// An exhausted ledger refuses *every* debit, including ones smaller
+    /// than the rounding slack — otherwise a stream of sub-slack "dust"
+    /// debits could keep releasing forever while `spent` stays clamped at
+    /// `total`. With this guard the true cumulative spend can exceed the
+    /// advertised total by at most one slack (`total × 1e-9`) over the
+    /// ledger's whole lifetime. The δ column applies the same dust guard;
+    /// a pure (δ = 0) debit never consults it, so pure traffic still
+    /// flows through a δ-exhausted ledger.
+    pub fn check(&self, budget: impl Into<Budget>) -> Result<(), BudgetError> {
+        let budget = budget.into();
+        let eps = budget.eps().value();
+        if self.is_exhausted() || eps > self.remaining() + self.total * RELATIVE_SLACK {
+            return Err(BudgetError::Exhausted {
+                requested: eps,
+                remaining: self.remaining(),
+            });
+        }
         let delta = budget.delta();
         if delta > 0.0
             && (self.is_delta_exhausted()
@@ -194,8 +165,11 @@ impl BudgetLedger {
     /// Debits an (ε, δ) budget atomically: both columns move or neither
     /// does. Returns the remaining ε (the δ remainder is available via
     /// [`BudgetLedger::delta_remaining`]).
-    pub fn debit_budget(&mut self, budget: Budget) -> Result<f64, BudgetError> {
-        self.check_budget(budget)?;
+    pub fn debit(&mut self, budget: impl Into<Budget>) -> Result<f64, BudgetError> {
+        let budget = budget.into();
+        self.check(budget)?;
+        // The slack can let `spent` creep a few ulps past `total`; clamp so
+        // `remaining`/`spent` never misreport the guarantee.
         self.spent = (self.spent + budget.eps().value()).min(self.total);
         self.delta_spent = (self.delta_spent + budget.delta()).min(self.delta_total);
         self.debits += 1;
@@ -381,8 +355,8 @@ mod tests {
 
     #[test]
     fn tracks_both_columns() {
-        let mut ledger = BudgetLedger::with_budget(budget(1.0, 1e-5));
-        ledger.debit_budget(budget(0.25, 4e-6)).unwrap();
+        let mut ledger = BudgetLedger::new(budget(1.0, 1e-5));
+        ledger.debit(budget(0.25, 4e-6)).unwrap();
         assert!((ledger.spent() - 0.25).abs() < 1e-15);
         assert!((ledger.delta_spent() - 4e-6).abs() < 1e-20);
         assert!((ledger.delta_remaining() - 6e-6).abs() < 1e-20);
@@ -392,9 +366,9 @@ mod tests {
 
     #[test]
     fn delta_over_spend_refused_atomically() {
-        let mut ledger = BudgetLedger::with_budget(budget(1.0, 1e-6));
+        let mut ledger = BudgetLedger::new(budget(1.0, 1e-6));
         // ε fits, δ does not: neither column may move.
-        let err = ledger.debit_budget(budget(0.1, 2e-6)).unwrap_err();
+        let err = ledger.debit(budget(0.1, 2e-6)).unwrap_err();
         match err {
             BudgetError::DeltaExhausted {
                 requested,
@@ -415,40 +389,40 @@ mod tests {
         let mut ledger = BudgetLedger::new(eps(1.0));
         assert_eq!(ledger.delta_total(), 0.0);
         assert!(ledger.is_delta_exhausted());
-        assert!(ledger.debit_budget(budget(0.1, 1e-12)).is_err());
+        assert!(ledger.debit(budget(0.1, 1e-12)).is_err());
         // Pure debits via the budget API still flow.
-        ledger.debit_budget(budget(0.1, 0.0)).unwrap();
+        ledger.debit(budget(0.1, 0.0)).unwrap();
         assert_eq!(ledger.debits(), 1);
     }
 
     #[test]
     fn pure_traffic_survives_delta_exhaustion() {
-        let mut ledger = BudgetLedger::with_budget(budget(1.0, 1e-6));
-        ledger.debit_budget(budget(0.1, 1e-6)).unwrap();
+        let mut ledger = BudgetLedger::new(budget(1.0, 1e-6));
+        ledger.debit(budget(0.1, 1e-6)).unwrap();
         assert!(ledger.is_delta_exhausted());
         // δ dust refused after exhaustion…
-        assert!(ledger.debit_budget(budget(0.1, 1e-18)).is_err());
+        assert!(ledger.debit(budget(0.1, 1e-18)).is_err());
         // …but δ=0 debits keep flowing against the remaining ε.
-        ledger.debit_budget(budget(0.2, 0.0)).unwrap();
+        ledger.debit(budget(0.2, 0.0)).unwrap();
         assert!((ledger.spent() - 0.3).abs() < 1e-15);
     }
 
     #[test]
     fn delta_dust_sums_exactly() {
         // 10 × δ/10 must consume exactly δ despite f64 rounding.
-        let mut ledger = BudgetLedger::with_budget(budget(1.0, 1e-5));
+        let mut ledger = BudgetLedger::new(budget(1.0, 1e-5));
         for _ in 0..10 {
-            ledger.debit_budget(budget(0.05, 1e-6)).unwrap();
+            ledger.debit(budget(0.05, 1e-6)).unwrap();
         }
         assert!(ledger.is_delta_exhausted());
         assert!(ledger.delta_spent() <= ledger.delta_total());
-        assert!(ledger.debit_budget(budget(0.05, 1e-6)).is_err());
+        assert!(ledger.debit(budget(0.05, 1e-6)).is_err());
     }
 
     #[test]
     fn budget_display_mentions_delta_columns() {
-        let mut ledger = BudgetLedger::with_budget(budget(1.0, 1e-5));
-        ledger.debit_budget(budget(0.5, 5e-6)).unwrap();
+        let mut ledger = BudgetLedger::new(budget(1.0, 1e-5));
+        ledger.debit(budget(0.5, 5e-6)).unwrap();
         let s = ledger.to_string();
         assert!(s.contains("δ"), "{s}");
         assert!(s.contains("(ε,δ)-ledger"), "{s}");

@@ -4,17 +4,18 @@
 //! * [`budget`] — the ε privacy budget type with validation and
 //!   sequential-composition arithmetic, plus the approximate-DP
 //!   [`Budget`] `(ε, δ)` pair.
-//! * [`ledger`] — the [`BudgetLedger`], which debits a fixed total
-//!   (ε and, for approximate DP, δ) per release and refuses over-spends
-//!   with a typed [`BudgetError`].
-//! * [`concurrent`] — the [`SharedLedger`] thread-safe layer over the
-//!   ledger, preserving the one-slack over-spend bound under contention.
+//! * [`ledger`] — the sequential [`BudgetLedger`], which debits a fixed
+//!   total (ε and, for approximate DP, δ) per release and refuses
+//!   over-spends with a typed [`BudgetError`].
+//! * [`concurrent`] — the [`SharedLedger`], the one concurrent ledger:
+//!   lock-free (ε, δ) reservations preserving the one-slack over-spend
+//!   bound under contention, and the two-phase debit protocol (intent →
+//!   settle/abort) the `lrm-server` per-tenant ledgers run.
 //! * [`journal`] + [`durable`] — the crash-durable layer: a CRC-framed
-//!   write-ahead journal (`LRMJ`, v2 with δ-carrying frames) and the
-//!   [`DurableLedger`] two-phase debit protocol (intent → settle/abort)
-//!   built on it, so a tenant's (ε, δ)-spend survives process restarts
-//!   and a kill at any instant can only waste budget, never refund it
-//!   (what the `lrm-server` per-tenant ledgers are built on).
+//!   write-ahead journal (`LRMJ`, v2 with δ-carrying frames) and
+//!   [`SharedLedger::open`], which replays it so a tenant's (ε, δ)-spend
+//!   survives process restarts and a kill at any instant can only waste
+//!   budget, never refund it.
 //! * [`error`] — the typed [`DpError`] every constructor in this crate
 //!   reports.
 //! * [`laplace`] — Laplace distribution sampling (inverse-CDF), the noise

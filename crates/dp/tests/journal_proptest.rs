@@ -5,14 +5,14 @@
 //! truncation, a bit flip anywhere — replay must never credit a tenant
 //! with less spend than the ε whose noisy answers actually escaped the
 //! process. These tests drive random intent/settle/abort histories
-//! through [`DurableLedger`], mutilate the journal bytes, reopen, and
+//! through [`SharedLedger::open`], mutilate the journal bytes, reopen, and
 //! check the spend floor from ground truth tracked outside the ledger.
 //!
 //! Frame-size bookkeeping: a freshly opened journal is compacted to
 //! `header(8) · Grant(13) · Snapshot(21)`; each op then appends
 //! `Intent(21)` and, for settled/aborted ops, `Settle(13)`/`Abort(13)`.
 
-use lrm_dp::{DurableLedger, Epsilon};
+use lrm_dp::{Epsilon, SharedLedger};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,7 +58,7 @@ fn unique_path(name: &str) -> PathBuf {
 /// op log with byte offsets.
 fn build_history(path: &PathBuf, raw: &[(u8, f64)]) -> Vec<Op> {
     let _ = std::fs::remove_file(path);
-    let (ledger, _) = DurableLedger::open(path, Epsilon::new(TOTAL).unwrap()).unwrap();
+    let (ledger, _) = SharedLedger::open(path, Epsilon::new(TOTAL).unwrap()).unwrap();
     let mut offset = HEADER + GRANT + SNAPSHOT;
     let mut ops = Vec::with_capacity(raw.len());
     for &(k, eps) in raw {
@@ -108,7 +108,7 @@ proptest! {
         let settled: f64 = ops.iter().filter(|o| o.kind == OpKind::Settled).map(|o| o.eps).sum();
         let pending: f64 = ops.iter().filter(|o| o.kind == OpKind::Pending).map(|o| o.eps).sum();
 
-        let (ledger, summary) = DurableLedger::open(&path, Epsilon::new(TOTAL).unwrap()).unwrap();
+        let (ledger, summary) = SharedLedger::open(&path, Epsilon::new(TOTAL).unwrap()).unwrap();
         prop_assert!(summary.resumed && !summary.corrupted);
         prop_assert!((ledger.spent() - (settled + pending)).abs() < SLACK,
             "spent {} vs settled {settled} + pending {pending}", ledger.spent());
@@ -136,7 +136,7 @@ proptest! {
         bytes.truncate(len - cut.min(last_frame - 1));
         std::fs::write(&path, &bytes).unwrap();
 
-        let (ledger, summary) = DurableLedger::open(&path, Epsilon::new(TOTAL).unwrap()).unwrap();
+        let (ledger, summary) = SharedLedger::open(&path, Epsilon::new(TOTAL).unwrap()).unwrap();
         prop_assert!(!summary.corrupted, "a torn tail is recoverable, not fatal");
         prop_assert!(ledger.spent() + SLACK >= released,
             "torn tail refunded released ε: spent {} < released {released}", ledger.spent());
@@ -165,7 +165,7 @@ proptest! {
             .map(|o| o.eps)
             .sum();
 
-        let (ledger, _) = DurableLedger::open(&path, Epsilon::new(TOTAL).unwrap()).unwrap();
+        let (ledger, _) = SharedLedger::open(&path, Epsilon::new(TOTAL).unwrap()).unwrap();
         prop_assert!(ledger.spent() <= TOTAL);
         prop_assert!(ledger.spent() + SLACK >= durable_released,
             "truncation to {keep}/{len} refunded surviving releases: spent {} < {durable_released}",
@@ -188,7 +188,7 @@ proptest! {
         let released: f64 = ops.iter().filter(|o| o.kind == OpKind::Settled).map(|o| o.eps).sum();
 
         // Reopen: history is folded into the compacted snapshot.
-        let (_ledger, summary) = DurableLedger::open(&path, Epsilon::new(TOTAL).unwrap()).unwrap();
+        let (_ledger, summary) = SharedLedger::open(&path, Epsilon::new(TOTAL).unwrap()).unwrap();
         prop_assert!(summary.resumed && !summary.corrupted);
         prop_assert_eq!(
             std::fs::metadata(&path).unwrap().len() as usize,
@@ -200,7 +200,7 @@ proptest! {
         bytes.truncate(len - cut);
         std::fs::write(&path, &bytes).unwrap();
 
-        let (ledger, summary) = DurableLedger::open(&path, Epsilon::new(TOTAL).unwrap()).unwrap();
+        let (ledger, summary) = SharedLedger::open(&path, Epsilon::new(TOTAL).unwrap()).unwrap();
         prop_assert!(summary.corrupted, "a damaged snapshot must read as corruption");
         prop_assert!(ledger.spent() + SLACK >= released,
             "snapshot tear refunded released ε: spent {} < {released}", ledger.spent());
@@ -227,7 +227,7 @@ proptest! {
         bytes[pos] ^= 1 << bit;
         std::fs::write(&path, &bytes).unwrap();
 
-        let (ledger, _) = DurableLedger::open(&path, Epsilon::new(TOTAL).unwrap()).unwrap();
+        let (ledger, _) = SharedLedger::open(&path, Epsilon::new(TOTAL).unwrap()).unwrap();
         prop_assert!(ledger.spent() + SLACK >= released,
             "bit flip at byte {pos} bit {bit} refunded released ε: spent {} < {released}",
             ledger.spent());

@@ -15,11 +15,10 @@
 //! throughput** than the per-query baseline, (b) **zero** tenants were
 //! granted more ε than they registered (within the ledger's documented
 //! one-slack bound), (c) **zero** operator densifications occurred in
-//! either run, and (d) at least one batch actually coalesced. The smoke
-//! runs in its own process, which is what makes the global densification
-//! counter assertable. After the pure gate it runs the mixed-ε Gaussian
-//! gate ([`ServingConfig::gaussian_smoke`]) so one entry point covers
-//! both noise flavors; the `gaussian` binary runs the same gate alone.
+//! either run's compiles (the server's own count), and (d) at least one
+//! batch actually coalesced. After the pure gate it runs the mixed-ε
+//! Gaussian gate ([`ServingConfig::gaussian_smoke`]) so one entry point
+//! covers both noise flavors.
 //! The third pass is the evented front-end gate
 //! ([`EventedConfig::smoke`]): ≥ 10⁴ requests concurrently in flight
 //! from a handful of driver threads over the sharded scheduler, with

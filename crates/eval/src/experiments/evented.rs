@@ -51,7 +51,6 @@ use crate::experiments::serving::{
 use crate::report::TableWriter;
 use lrm_core::engine::{CompileOptions, Engine, MechanismKind, NoiseFlavor};
 use lrm_dp::{Budget, Epsilon};
-use lrm_linalg::operator::densification_count;
 use lrm_server::{Client, Server, ServerError, ServerReport, Ticket, TicketSet};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -255,7 +254,6 @@ fn collect_stats(
     outcomes: &[DriverOutcome],
     report: &ServerReport,
     wall_seconds: f64,
-    densifications: u64,
 ) -> ServingRunStats {
     let mut granted = vec![0.0f64; scfg.tenants];
     let mut granted_delta = vec![0.0f64; scfg.tenants];
@@ -326,7 +324,7 @@ fn collect_stats(
         overspend,
         delta_overspend,
         cross_eps_batches: report.metrics.cross_eps_batches,
-        densifications,
+        densifications: report.metrics.densifications,
     }
 }
 
@@ -339,7 +337,6 @@ fn collect_stats(
 pub fn run_blocking_mode(cfg: &EventedConfig, trace: &Trace) -> ServingRunStats {
     let scfg = &cfg.serving;
     let server = build_server(scfg, trace, 1);
-    let densify_before = densification_count();
     let t0 = Instant::now();
     let (outcomes, report) = server.serve(|client| {
         std::thread::scope(|s| {
@@ -361,15 +358,7 @@ pub fn run_blocking_mode(cfg: &EventedConfig, trace: &Trace) -> ServingRunStats 
         })
     });
     let wall_seconds = t0.elapsed().as_secs_f64();
-    let densifications = densification_count() - densify_before;
-    collect_stats(
-        "blocking",
-        scfg,
-        &outcomes,
-        &report,
-        wall_seconds,
-        densifications,
-    )
+    collect_stats("blocking", scfg, &outcomes, &report, wall_seconds)
 }
 
 /// One blocking client: keep `burst` tickets outstanding, block on the
@@ -409,7 +398,6 @@ fn drive_blocking(
 pub fn run_evented_mode(cfg: &EventedConfig, trace: &Trace) -> EventedRunStats {
     let scfg = &cfg.serving;
     let server = build_server(scfg, trace, cfg.shards);
-    let densify_before = densification_count();
     let t0 = Instant::now();
     let (outcomes, report) = server.serve(|client| {
         std::thread::scope(|s| {
@@ -426,16 +414,8 @@ pub fn run_evented_mode(cfg: &EventedConfig, trace: &Trace) -> EventedRunStats {
         })
     });
     let wall_seconds = t0.elapsed().as_secs_f64();
-    let densifications = densification_count() - densify_before;
 
-    let stats = collect_stats(
-        "evented",
-        scfg,
-        &outcomes,
-        &report,
-        wall_seconds,
-        densifications,
-    );
+    let stats = collect_stats("evented", scfg, &outcomes, &report, wall_seconds);
     EventedRunStats {
         stats,
         driver_threads: cfg.driver_threads,

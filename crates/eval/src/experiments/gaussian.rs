@@ -25,7 +25,7 @@ use crate::report::TableWriter;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// The two-run comparison the `gaussian` binary reports.
+/// The two-run comparison the mixed-ε pass of `load_sim` reports.
 #[derive(Debug, Clone)]
 pub struct GaussianReport {
     /// Configuration echo (must have `noise_delta > 0`).

@@ -11,8 +11,8 @@
 //! (`coalesce_window = 0`, `max_batch = 1`) compiles and answers every
 //! request alone. Throughput, per-query error against the exact answers,
 //! ledger over-spend (from the grants each client actually observed, not
-//! the clamped ledger counter), and the global densification counter are
-//! all recorded into a `BENCH_5.json`-style report.
+//! the clamped ledger counter), and the server's compile densification
+//! count are all recorded into a `BENCH_5.json`-style report.
 //!
 //! The same machinery also drives the **approximate-DP** comparison (see
 //! [`crate::experiments::gaussian`]): with a positive
@@ -27,7 +27,6 @@ use crate::report::TableWriter;
 use lrm_core::engine::{CompileOptions, Engine, MechanismKind, NoiseFlavor};
 use lrm_dp::rng::derive_rng;
 use lrm_dp::{Budget, Epsilon};
-use lrm_linalg::operator::densification_count;
 use lrm_server::{QuerySpec, Server, ServerError};
 use lrm_workload::{Attribute, Schema};
 use rand::Rng;
@@ -338,7 +337,8 @@ pub struct ServingRunStats {
     /// Gaussian batches whose members spanned ≥ 2 distinct ε — batches
     /// that exist only because of cross-ε coalescing.
     pub cross_eps_batches: u64,
-    /// Operator densifications during the run (must be 0).
+    /// Operator densifications by the server's compiles during the run
+    /// (must be 0).
     pub densifications: u64,
 }
 
@@ -386,7 +386,6 @@ pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -
         server.register_tenant_budget(&ServingConfig::tenant_name(t), budget);
     }
 
-    let densify_before = densification_count();
     let t0 = Instant::now();
     let (outcomes, report) = server.serve(|client| {
         std::thread::scope(|s| {
@@ -405,7 +404,6 @@ pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -
         })
     });
     let wall_seconds = t0.elapsed().as_secs_f64();
-    let densifications = densification_count() - densify_before;
 
     let mut granted = vec![0.0f64; cfg.tenants];
     let mut granted_delta = vec![0.0f64; cfg.tenants];
@@ -461,7 +459,7 @@ pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -
         overspend,
         delta_overspend,
         cross_eps_batches: report.metrics.cross_eps_batches,
-        densifications,
+        densifications: report.metrics.densifications,
     }
 }
 

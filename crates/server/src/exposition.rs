@@ -169,6 +169,11 @@ fn counter_rows(m: &MetricsSnapshot) -> Vec<(&'static str, &'static str, u64)> {
             m.stolen_batches,
         ),
         (
+            "lrm_densifications_total",
+            "Structured workload operators densified by compiles.",
+            m.densifications,
+        ),
+        (
             "lrm_farm_shapes_total",
             "Distinct shapes the compile farm observed.",
             m.farm_shapes,

@@ -150,6 +150,7 @@ pub(crate) struct ServerMetrics {
     pub gaussian_batches: AtomicU64,
     pub cross_eps_batches: AtomicU64,
     pub stolen_batches: AtomicU64,
+    pub densifications: AtomicU64,
     /// Per-shard submitted-but-unanswered gauges (index = shard id).
     shard_depths: Vec<AtomicU64>,
     shard_peaks: Vec<AtomicU64>,
@@ -196,6 +197,7 @@ impl ServerMetrics {
             gaussian_batches: AtomicU64::new(0),
             cross_eps_batches: AtomicU64::new(0),
             stolen_batches: AtomicU64::new(0),
+            densifications: AtomicU64::new(0),
             shard_depths: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             shard_peaks: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             latencies: LatencyHistogram::default(),
@@ -295,6 +297,7 @@ impl ServerMetrics {
             gaussian_batches: self.gaussian_batches.load(Ordering::Relaxed),
             cross_eps_batches: self.cross_eps_batches.load(Ordering::Relaxed),
             stolen_batches: self.stolen_batches.load(Ordering::Relaxed),
+            densifications: self.densifications.load(Ordering::Relaxed),
             shard_depths: self
                 .shard_depths
                 .iter()
@@ -388,6 +391,11 @@ pub struct MetricsSnapshot {
     /// Batches a worker claimed from another shard's flush queue (the
     /// work-stealing handoff; 0 on a single-shard server).
     pub stolen_batches: u64,
+    /// Structured workload operators densified by this server's compiles
+    /// (batch and farm), summed from
+    /// [`CompileMeta::densifications`](lrm_core::engine::CompileMeta::densifications);
+    /// 0 while every compile stays on the structured fast path.
+    pub densifications: u64,
     /// Live submitted-but-unanswered requests per scheduler shard at
     /// snapshot time (index = shard id; one entry on an unsharded
     /// server).

@@ -103,8 +103,10 @@ fn coalesced_slices_are_bit_identical_to_the_combined_batch_answer() {
     assert_eq!(releases[0].mechanism, "LRM");
     assert!((releases[0].eps_remaining - 3.5).abs() < 1e-12);
 
-    // The whole pipeline (spec → coalesce → compile → answer) stayed
-    // structured: zero densifications.
+    // The pipeline stayed structured: the server's compiles densified
+    // nothing, and neither did this thread's spec preparation or its
+    // reconstruction compile.
+    assert_eq!(report.metrics.densifications, 0);
     assert_eq!(densification_count() - densify_before, 0);
 }
 

@@ -136,7 +136,9 @@ fn cross_eps_slices_are_bit_identical_to_base_plus_topup_reconstruction() {
     // The stricter member carries the worse (larger) error bound.
     assert!(releases[1].expected_avg_error > releases[0].expected_avg_error);
 
-    // The Gaussian pipeline stayed structured end to end.
+    // The Gaussian pipeline stayed structured: the server's compiles and
+    // this thread's spec preparation and reconstruction densified nothing.
+    assert_eq!(report.metrics.densifications, 0);
     assert_eq!(densification_count() - densify_before, 0);
 }
 

@@ -2,15 +2,12 @@
 //! workload at n = 4096 compiles end-to-end through
 //! `Engine::compile(MechanismKind::Lrm)` **without ever materializing the
 //! dense `W`**, asserted via the operator-level densification counter.
-//!
-//! This file intentionally holds a single `#[test]`: the densification
-//! counter is process-global, and integration-test binaries are the one
-//! place Rust guarantees a private process. Do not add other tests here
-//! that touch structured operators.
+//! The counter is per-thread and the compile runs on the test's thread,
+//! so a before/after difference sees exactly this test's work.
 
 use lrm::prelude::*;
 use lrm::workload::generators::{WPrefix, WorkloadGenerator};
-use lrm_linalg::operator::{densification_count, reset_densification_count};
+use lrm_linalg::operator::densification_count;
 use lrm_opt::{AlmSchedule, NesterovConfig};
 
 #[test]
@@ -39,7 +36,7 @@ fn prefix_workload_at_n_4096_compiles_without_densifying() {
         polish_iters: 0,
     };
 
-    reset_densification_count();
+    let before = densification_count();
     let engine = Engine::builder().build();
     let compiled = engine
         .compile(
@@ -49,10 +46,11 @@ fn prefix_workload_at_n_4096_compiles_without_densifying() {
         )
         .expect("structured LRM compile succeeds");
     assert_eq!(
-        densification_count(),
+        densification_count() - before,
         0,
         "the structured compile pipeline must never densify W"
     );
+    assert_eq!(compiled.meta().densifications, 0);
 
     // The compile is real: right shape, usable strategy, sane metadata.
     let meta = compiled.meta();
@@ -73,7 +71,7 @@ fn prefix_workload_at_n_4096_compiles_without_densifying() {
         .unwrap();
     assert_eq!(hit.meta().cache, CacheOutcome::MemoryHit);
     assert_eq!(
-        densification_count(),
+        densification_count() - before,
         0,
         "cache confirmation must stream rows, not densify"
     );
@@ -102,5 +100,5 @@ fn prefix_workload_at_n_4096_compiles_without_densifying() {
         "relative answer error {} too large",
         err_norm / truth_norm
     );
-    assert_eq!(densification_count(), 0);
+    assert_eq!(densification_count() - before, 0);
 }
