@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lrm_core::decomposition::{DecompositionConfig, TargetRank, WorkloadDecomposition};
+use lrm_dp::SensitivityNorm;
 use lrm_workload::generators::{WRange, WRelated, WorkloadGenerator};
 use lrm_workload::Workload;
 use rand::rngs::StdRng;
@@ -33,8 +34,13 @@ fn bench_decompose_sizes(c: &mut Criterion) {
             &w,
             |bench, w| {
                 bench.iter(|| {
-                    WorkloadDecomposition::compute(black_box(w), &DecompositionConfig::default())
-                        .unwrap()
+                    WorkloadDecomposition::compute(
+                        black_box(w),
+                        &DecompositionConfig::default(),
+                        SensitivityNorm::L1,
+                        None,
+                    )
+                    .unwrap()
                 });
             },
         );
@@ -56,7 +62,10 @@ fn bench_gamma(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{gamma:.0e}")),
             &cfg,
             |bench, cfg| {
-                bench.iter(|| WorkloadDecomposition::compute(black_box(&w), cfg).unwrap());
+                bench.iter(|| {
+                    WorkloadDecomposition::compute(black_box(&w), cfg, SensitivityNorm::L1, None)
+                        .unwrap()
+                });
             },
         );
     }
@@ -77,7 +86,10 @@ fn bench_rank_ratio(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{ratio}")),
             &cfg,
             |bench, cfg| {
-                bench.iter(|| WorkloadDecomposition::compute(black_box(&w), cfg).unwrap());
+                bench.iter(|| {
+                    WorkloadDecomposition::compute(black_box(&w), cfg, SensitivityNorm::L1, None)
+                        .unwrap()
+                });
             },
         );
     }
@@ -99,7 +111,10 @@ fn bench_inner_solver(c: &mut Criterion) {
             ..DecompositionConfig::default()
         };
         group.bench_with_input(BenchmarkId::from_parameter(label), &cfg, |bench, cfg| {
-            bench.iter(|| WorkloadDecomposition::compute(black_box(&w), cfg).unwrap());
+            bench.iter(|| {
+                WorkloadDecomposition::compute(black_box(&w), cfg, SensitivityNorm::L1, None)
+                    .unwrap()
+            });
         });
     }
     group.finish();

@@ -198,6 +198,13 @@ pub struct WorkloadDecomposition {
 impl WorkloadDecomposition {
     /// Runs Algorithm 1 on the workload.
     ///
+    /// `norm` chooses the feasible set: per-column **L1** balls for the
+    /// paper's pure-ε (Laplace) mechanism, per-column **L2** balls for the
+    /// approximate-DP (Gaussian) variant. The L2 ball contains the L1
+    /// ball, so the Gaussian program optimizes over a strictly larger
+    /// feasible set — everything else (the ALM outer loop, the
+    /// convergence contract, the polish phase) is shared code.
+    ///
     /// Every product involving `W` goes through the workload's
     /// [`MatrixOp`]: `W·Lᵀ` and `Bᵀ·W` are structured operator products,
     /// the residual is assembled as `−(B·L) + W` without materializing
@@ -208,58 +215,26 @@ impl WorkloadDecomposition {
     /// GEMMs against π are skipped outright while π is still zero, which
     /// covers every outer iteration of a run that converges before the
     /// first multiplier update.
-    pub fn compute(workload: &Workload, config: &DecompositionConfig) -> Result<Self, CoreError> {
-        Self::compute_with_init_flavored(workload, config, SensitivityNorm::L1, None)
-    }
-
-    /// Runs Algorithm 1 with the feasible set chosen by `norm`: per-column
-    /// **L1** balls for the paper's pure-ε (Laplace) mechanism, per-column
-    /// **L2** balls for the approximate-DP (Gaussian) variant. The L2 ball
-    /// contains the L1 ball, so the Gaussian program optimizes over a
-    /// strictly larger feasible set — everything else (the ALM outer loop,
-    /// the convergence contract, the polish phase) is shared code.
-    pub fn compute_flavored(
-        workload: &Workload,
-        config: &DecompositionConfig,
-        norm: SensitivityNorm,
-    ) -> Result<Self, CoreError> {
-        Self::compute_with_init_flavored(workload, config, norm, None)
-    }
-
-    /// Runs Algorithm 1 from a warm-start seed instead of the Lemma 3
-    /// construction: the seed `L` is re-projected onto the target rank
-    /// (feasible by construction, see [`WarmStart::reproject_l`]) and `B`
-    /// is either taken from the seed (when its shape matches exactly) or
-    /// refit in closed form — the β→∞ limit of Eq. 9, which is the best
-    /// `B` for the seeded `L` and works across different query counts
-    /// `m`. Everything after the initializer — the outer loop, the
-    /// convergence criteria, the polish phase, the safety fallbacks — is
-    /// the identical code path as [`Self::compute`], so a warm-started
-    /// decomposition meets exactly the same feasibility and convergence
-    /// contract as a cold one; only the starting point (and therefore
-    /// the recorded `outer_iterations`) differs.
     ///
-    /// A seed over the wrong domain size (or a failing closed-form
-    /// refit) is ignored and the run falls back to the cold initializer;
-    /// `stats().warm_started` reports what actually happened.
-    pub fn compute_with_init(
-        workload: &Workload,
-        config: &DecompositionConfig,
-        init: Option<&WarmStart>,
-    ) -> Result<Self, CoreError> {
-        Self::compute_with_init_flavored(workload, config, SensitivityNorm::L1, init)
-    }
-
-    /// [`Self::compute_flavored`] from a warm-start seed. The seed is
-    /// re-projected onto the **target** norm's feasible set
-    /// ([`WarmStart::reproject_l`] / [`WarmStart::reproject_l_l2`]), which
-    /// is what lets an L1-optimized neighbor seed — never serve — an L2
-    /// compile: the factors carry over, the feasible set does not.
-    pub fn compute_with_init_flavored(
+    /// With a `warm` seed the run starts from it instead of the Lemma 3
+    /// construction: the seed `L` is re-projected onto the target rank
+    /// and the target norm's feasible set ([`WarmStart::reproject_l`] /
+    /// [`WarmStart::reproject_l_l2`]), which is what lets an L1-optimized
+    /// neighbor seed — never serve — an L2 compile, and `B` is refit in
+    /// closed form — the β→∞ limit of Eq. 9, which is the best `B` for the
+    /// seeded `L` and works across different query counts `m`.
+    /// Everything after the initializer is the same code path, so a
+    /// warm-started decomposition meets exactly the same feasibility and
+    /// convergence contract as a cold one; only the starting point (and
+    /// therefore the recorded `outer_iterations`) differs. A seed over the
+    /// wrong domain size (or a failing closed-form refit) is ignored and
+    /// the run falls back to the cold initializer; `stats().warm_started`
+    /// reports what actually happened.
+    pub fn compute(
         workload: &Workload,
         config: &DecompositionConfig,
         norm: SensitivityNorm,
-        init: Option<&WarmStart>,
+        warm: Option<&WarmStart>,
     ) -> Result<Self, CoreError> {
         config.validate()?;
         let op = workload.op().as_ref();
@@ -268,7 +243,7 @@ impl WorkloadDecomposition {
         let r = config.target_rank.resolve(workload)?;
 
         // --- Initialization: warm-start seed, else Lemma 3. ---
-        let warm_init = init
+        let warm_init = warm
             .filter(|seed| seed.domain_size() == n && seed.rank() > 0)
             .and_then(|seed| {
                 let l = match norm {
@@ -1007,7 +982,13 @@ mod tests {
     use rand::SeedableRng;
 
     fn decompose_default(w: &Workload) -> WorkloadDecomposition {
-        WorkloadDecomposition::compute(w, &DecompositionConfig::default()).unwrap()
+        WorkloadDecomposition::compute(
+            w,
+            &DecompositionConfig::default(),
+            SensitivityNorm::L1,
+            None,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1066,7 +1047,7 @@ mod tests {
             gamma: 0.05,
             ..DecompositionConfig::default()
         };
-        let d = WorkloadDecomposition::compute(&w, &cfg).unwrap();
+        let d = WorkloadDecomposition::compute(&w, &cfg, SensitivityNorm::L1, None).unwrap();
         assert!(
             d.stats().residual <= 0.05 + 1e-9 || d.stats().final_beta >= 1e10,
             "residual {} with β {}",
@@ -1101,7 +1082,7 @@ mod tests {
             max_outer_iters: 40,
             ..DecompositionConfig::default()
         };
-        let d = WorkloadDecomposition::compute(&w, &cfg).unwrap();
+        let d = WorkloadDecomposition::compute(&w, &cfg, SensitivityNorm::L1, None).unwrap();
         assert!(d.sensitivity() <= 1.0 + 1e-9);
         assert!(d.stats().residual.is_finite());
         assert!(d.stats().residual > 0.05); // genuinely cannot hit γ
@@ -1128,12 +1109,12 @@ mod tests {
             gamma: f64::NAN,
             ..DecompositionConfig::default()
         };
-        assert!(WorkloadDecomposition::compute(&w, &bad_gamma).is_err());
+        assert!(WorkloadDecomposition::compute(&w, &bad_gamma, SensitivityNorm::L1, None).is_err());
         let bad_iters = DecompositionConfig {
             max_outer_iters: 0,
             ..DecompositionConfig::default()
         };
-        assert!(WorkloadDecomposition::compute(&w, &bad_iters).is_err());
+        assert!(WorkloadDecomposition::compute(&w, &bad_iters, SensitivityNorm::L1, None).is_err());
     }
 
     #[test]
@@ -1173,12 +1154,13 @@ mod tests {
         };
         let wa = panel(64, 15);
         let wb = panel(64, 16);
-        let cold_a = WorkloadDecomposition::compute(&wa, &cfg).unwrap();
-        let cold_b = WorkloadDecomposition::compute(&wb, &cfg).unwrap();
+        let cold_a = WorkloadDecomposition::compute(&wa, &cfg, SensitivityNorm::L1, None).unwrap();
+        let cold_b = WorkloadDecomposition::compute(&wb, &cfg, SensitivityNorm::L1, None).unwrap();
         assert!(!cold_b.stats().warm_started);
 
         let seed = WarmStart::new(cold_a.b().clone(), cold_a.l().clone());
-        let warm_b = WorkloadDecomposition::compute_with_init(&wb, &cfg, Some(&seed)).unwrap();
+        let warm_b =
+            WorkloadDecomposition::compute(&wb, &cfg, SensitivityNorm::L1, Some(&seed)).unwrap();
         assert!(warm_b.stats().warm_started);
         assert_eq!(warm_b.stats().converged, cold_b.stats().converged);
         assert!(warm_b.sensitivity() <= 1.0 + 1e-9);
@@ -1208,17 +1190,19 @@ mod tests {
             polish_iters: 0,
             ..DecompositionConfig::default()
         };
-        let d4 = WorkloadDecomposition::compute(&w, &cfg4).unwrap();
+        let d4 = WorkloadDecomposition::compute(&w, &cfg4, SensitivityNorm::L1, None).unwrap();
         let seed = WarmStart::new(d4.b().clone(), d4.l().clone());
 
-        let up = WorkloadDecomposition::compute_with_init(&w, &cfg6, Some(&seed)).unwrap();
+        let up =
+            WorkloadDecomposition::compute(&w, &cfg6, SensitivityNorm::L1, Some(&seed)).unwrap();
         assert!(up.stats().warm_started);
         assert_eq!(up.rank(), 6);
         assert!(up.sensitivity() <= 1.0 + 1e-9);
 
-        let d6 = WorkloadDecomposition::compute(&w, &cfg6).unwrap();
+        let d6 = WorkloadDecomposition::compute(&w, &cfg6, SensitivityNorm::L1, None).unwrap();
         let seed6 = WarmStart::new(d6.b().clone(), d6.l().clone());
-        let down = WorkloadDecomposition::compute_with_init(&w, &cfg4, Some(&seed6)).unwrap();
+        let down =
+            WorkloadDecomposition::compute(&w, &cfg4, SensitivityNorm::L1, Some(&seed6)).unwrap();
         assert!(down.stats().warm_started);
         assert_eq!(down.rank(), 4);
         assert!(down.sensitivity() <= 1.0 + 1e-9);
@@ -1229,9 +1213,10 @@ mod tests {
         let w = Workload::from_intervals(16, vec![(0, 7), (8, 15)]).unwrap();
         let other = Workload::from_intervals(32, vec![(0, 15), (16, 31)]).unwrap();
         let cfg = DecompositionConfig::default();
-        let d = WorkloadDecomposition::compute(&other, &cfg).unwrap();
+        let d = WorkloadDecomposition::compute(&other, &cfg, SensitivityNorm::L1, None).unwrap();
         let seed = WarmStart::new(d.b().clone(), d.l().clone());
-        let got = WorkloadDecomposition::compute_with_init(&w, &cfg, Some(&seed)).unwrap();
+        let got =
+            WorkloadDecomposition::compute(&w, &cfg, SensitivityNorm::L1, Some(&seed)).unwrap();
         assert!(!got.stats().warm_started, "wrong-n seed must be ignored");
         assert!(got.sensitivity() <= 1.0 + 1e-9);
     }
@@ -1256,8 +1241,8 @@ mod tests {
             .generate(12, 16, &mut StdRng::seed_from_u64(21))
             .unwrap();
         let cfg = DecompositionConfig::default();
-        let d1 = WorkloadDecomposition::compute(&w, &cfg).unwrap();
-        let d2 = WorkloadDecomposition::compute_flavored(&w, &cfg, SensitivityNorm::L2).unwrap();
+        let d1 = WorkloadDecomposition::compute(&w, &cfg, SensitivityNorm::L1, None).unwrap();
+        let d2 = WorkloadDecomposition::compute(&w, &cfg, SensitivityNorm::L2, None).unwrap();
         assert_eq!(d1.norm(), SensitivityNorm::L1);
         assert_eq!(d2.norm(), SensitivityNorm::L2);
         // Feasible in the L2 norm and converged under the same contract.
@@ -1280,10 +1265,11 @@ mod tests {
         let w = WRange
             .generate(8, 12, &mut StdRng::seed_from_u64(22))
             .unwrap();
-        let d = WorkloadDecomposition::compute_flavored(
+        let d = WorkloadDecomposition::compute(
             &w,
             &DecompositionConfig::default(),
             SensitivityNorm::L2,
+            None,
         )
         .unwrap();
         // No finite Gaussian noise achieves pure ε-DP.
@@ -1316,15 +1302,10 @@ mod tests {
             ..DecompositionConfig::default()
         };
         let w = panel(64, 15);
-        let l1 = WorkloadDecomposition::compute(&w, &cfg).unwrap();
+        let l1 = WorkloadDecomposition::compute(&w, &cfg, SensitivityNorm::L1, None).unwrap();
         let seed = WarmStart::new(l1.b().clone(), l1.l().clone());
-        let l2 = WorkloadDecomposition::compute_with_init_flavored(
-            &w,
-            &cfg,
-            SensitivityNorm::L2,
-            Some(&seed),
-        )
-        .unwrap();
+        let l2 =
+            WorkloadDecomposition::compute(&w, &cfg, SensitivityNorm::L2, Some(&seed)).unwrap();
         assert!(l2.stats().warm_started);
         assert_eq!(l2.norm(), SensitivityNorm::L2);
         assert!(l2.sensitivity() <= 1.0 + 1e-9);

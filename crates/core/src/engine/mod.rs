@@ -667,16 +667,10 @@ impl CompiledMechanism {
     }
 
     /// Opens a budget-tracked [`Session`] holding `total` as its overall
-    /// ε guarantee.
-    pub fn session(&self, total: Epsilon) -> Session {
+    /// ε or (ε, δ) guarantee; approximate-DP strategies need the δ, since
+    /// their releases cannot exist without one.
+    pub fn session(&self, total: impl Into<Budget>) -> Session {
         Session::open(self, total)
-    }
-
-    /// Opens a budget-tracked [`Session`] holding `total` as its overall
-    /// (ε, δ) guarantee — the entry point for approximate-DP strategies,
-    /// whose releases need a δ to exist at all.
-    pub fn session_budget(&self, total: Budget) -> Session {
-        Session::open_budget(self, total)
     }
 
     /// Marks this strategy as a degraded-mode stand-in for a kind whose
@@ -1210,12 +1204,12 @@ mod tests {
         let opts = CompileOptions::with_flavor(NoiseFlavor::ApproxDp);
         let compiled = engine.compile(&w, MechanismKind::Lrm, &opts).unwrap();
         let total = Budget::approx(eps(1.0), 2e-6).unwrap();
-        let mut session = compiled.session_budget(total);
+        let mut session = compiled.session(total);
         let x: Vec<f64> = (0..16).map(|i| i as f64).collect();
 
         let per_release = Budget::approx(eps(0.5), 1e-6).unwrap();
         let first = session
-            .answer_budget(&x, per_release, &mut derive_rng(1, 0))
+            .answer(&x, per_release, &mut derive_rng(1, 0))
             .unwrap();
         assert_eq!(first.delta_spent, 1e-6);
         assert!((first.delta_remaining - 1e-6).abs() < 1e-18);
@@ -1223,13 +1217,13 @@ mod tests {
         assert!(first.expected_avg_error.is_finite());
 
         session
-            .answer_budget(&x, per_release, &mut derive_rng(1, 1))
+            .answer(&x, per_release, &mut derive_rng(1, 1))
             .unwrap();
         // ε and δ are both exhausted now; a third release is refused and
         // the ledger is untouched by the refusal.
         let before = session.ledger().delta_spent();
         assert!(session
-            .answer_budget(&x, per_release, &mut derive_rng(1, 2))
+            .answer(&x, per_release, &mut derive_rng(1, 2))
             .is_err());
         assert_eq!(session.ledger().delta_spent(), before);
 

@@ -405,12 +405,7 @@ pub(crate) fn build_with_seed(
     debug_assert!(kind.is_decomposition_backed());
     check_flavor_supported(kind, options.flavor)?;
     let cfg = options.decomposition_for(kind);
-    let dec = WorkloadDecomposition::compute_with_init_flavored(
-        workload,
-        &cfg,
-        options.flavor.norm(),
-        Some(seed),
-    )?;
+    let dec = WorkloadDecomposition::compute(workload, &cfg, options.flavor.norm(), Some(seed))?;
     let mechanism = rebuild_from_decomposition(kind, dec.clone(), workload);
     Ok(Built {
         mechanism,

@@ -14,8 +14,8 @@ use std::sync::Arc;
 /// Every [`answer`](Session::answer) debits its ε from the ledger *after*
 /// the release succeeds; once the total is spent further answers fail with
 /// [`EngineError::Budget`]\([`BudgetError::Exhausted`]\) instead of
-/// silently over-spending. Approximate-DP sessions
-/// ([`Session::open_budget`]) compose δ the same way: both components are
+/// silently over-spending. Approximate-DP sessions (opened with an
+/// (ε, δ) [`Budget`]) compose δ the same way: both components are
 /// checked and debited per release. The strategy itself is shared
 /// (cheaply, via `Arc`) with the engine cache — opening a session costs
 /// nothing.
@@ -26,8 +26,10 @@ pub struct Session {
 }
 
 impl Session {
-    /// Opens a session over a compiled strategy with a total ε budget.
-    pub fn open(compiled: &CompiledMechanism, total: Epsilon) -> Self {
+    /// Opens a session over a compiled strategy with a total ε or (ε, δ)
+    /// budget — approximate-DP strategies need a δ, since their releases
+    /// consume one.
+    pub fn open(compiled: &CompiledMechanism, total: impl Into<Budget>) -> Self {
         Self {
             mechanism: compiled.shared_mechanism(),
             label: compiled.meta().label,
@@ -35,53 +37,19 @@ impl Session {
         }
     }
 
-    /// Opens a session with a total (ε, δ) budget — required for
-    /// approximate-DP strategies, whose releases consume δ.
-    pub fn open_budget(compiled: &CompiledMechanism, total: Budget) -> Self {
-        Self {
-            mechanism: compiled.shared_mechanism(),
-            label: compiled.meta().label,
-            ledger: BudgetLedger::new(total),
-        }
-    }
-
-    /// One noisy release of the whole batch at `eps`, debited from the
-    /// session budget.
+    /// One noisy release of the whole batch at `budget` (a pure ε or an
+    /// (ε, δ) pair), with both components checked against and debited
+    /// from the session ledger.
     ///
     /// The debit happens only if the release succeeds; a refused debit
     /// leaves the ledger (and the data) untouched.
     pub fn answer(
         &mut self,
         x: &[f64],
-        eps: Epsilon,
+        budget: impl Into<Budget>,
         rng: &mut dyn RngCore,
     ) -> Result<BatchAnswer, EngineError> {
-        self.ledger.check(eps)?;
-        let answers = self.mechanism.answer(x, eps, rng)?;
-        let eps_remaining = self
-            .ledger
-            .debit(eps)
-            .expect("debit cannot fail after check");
-        Ok(BatchAnswer {
-            answers,
-            eps_spent: eps,
-            eps_remaining,
-            delta_spent: 0.0,
-            delta_remaining: self.ledger.delta_remaining(),
-            expected_avg_error: self.mechanism.expected_average_error(eps, Some(x)),
-            mechanism: self.label,
-        })
-    }
-
-    /// One noisy release of the whole batch at an (ε, δ) `budget`, with
-    /// both components checked against and debited from the session
-    /// ledger. This is the only release path a Gaussian strategy accepts.
-    pub fn answer_budget(
-        &mut self,
-        x: &[f64],
-        budget: Budget,
-        rng: &mut dyn RngCore,
-    ) -> Result<BatchAnswer, EngineError> {
+        let budget = budget.into();
         self.ledger.check(budget)?;
         let answers = self.mechanism.answer_budget(x, budget, rng)?;
         let eps_remaining = self

@@ -393,7 +393,13 @@ mod tests {
         let w = WRange
             .generate(6, 12, &mut StdRng::seed_from_u64(3))
             .unwrap();
-        let d = WorkloadDecomposition::compute(&w, &DecompositionConfig::default()).unwrap();
+        let d = WorkloadDecomposition::compute(
+            &w,
+            &DecompositionConfig::default(),
+            SensitivityNorm::L1,
+            None,
+        )
+        .unwrap();
         let header = StoredHeader {
             fingerprint: w.fingerprint().as_u64(),
             digest: 0xABCD,
@@ -523,10 +529,11 @@ mod tests {
         let w = WRange
             .generate(6, 12, &mut StdRng::seed_from_u64(3))
             .unwrap();
-        let d = WorkloadDecomposition::compute_flavored(
+        let d = WorkloadDecomposition::compute(
             &w,
             &DecompositionConfig::default(),
             SensitivityNorm::L2,
+            None,
         )
         .unwrap();
         let header = StoredHeader {

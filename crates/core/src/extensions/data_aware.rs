@@ -26,7 +26,7 @@
 use crate::decomposition::{DecompositionConfig, WorkloadDecomposition};
 use crate::error::CoreError;
 use crate::mechanism::Mechanism;
-use lrm_dp::{Epsilon, Laplace};
+use lrm_dp::{Epsilon, Laplace, SensitivityNorm};
 use lrm_linalg::ops;
 use lrm_workload::Workload;
 use rand::RngCore;
@@ -45,7 +45,8 @@ pub struct CompensatedLowRankMechanism {
 impl CompensatedLowRankMechanism {
     /// Compiles the decomposition and the optimal budget split.
     pub fn compile(workload: &Workload, config: &DecompositionConfig) -> Result<Self, CoreError> {
-        let decomposition = WorkloadDecomposition::compute(workload, config)?;
+        let decomposition =
+            WorkloadDecomposition::compute(workload, config, SensitivityNorm::L1, None)?;
         Ok(Self::from_decomposition(
             decomposition,
             workload.num_queries(),

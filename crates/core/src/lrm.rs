@@ -52,7 +52,7 @@ impl LowRankMechanism {
         config: &DecompositionConfig,
         norm: SensitivityNorm,
     ) -> Result<Self, CoreError> {
-        let decomposition = WorkloadDecomposition::compute_flavored(workload, config, norm)?;
+        let decomposition = WorkloadDecomposition::compute(workload, config, norm, None)?;
         Ok(Self::from_decomposition(
             decomposition,
             workload.num_queries(),

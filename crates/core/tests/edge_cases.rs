@@ -7,7 +7,7 @@ use lrm_core::baselines::{
 use lrm_core::decomposition::{DecompositionConfig, TargetRank, WorkloadDecomposition};
 use lrm_core::{LowRankMechanism, Mechanism};
 use lrm_dp::rng::derive_rng;
-use lrm_dp::Epsilon;
+use lrm_dp::{Epsilon, SensitivityNorm};
 use lrm_linalg::Matrix;
 use lrm_workload::Workload;
 
@@ -63,7 +63,7 @@ fn rank_one_target_on_rank_one_workload() {
         target_rank: TargetRank::Exact(1),
         ..DecompositionConfig::default()
     };
-    let d = WorkloadDecomposition::compute(&w, &cfg).unwrap();
+    let d = WorkloadDecomposition::compute(&w, &cfg, SensitivityNorm::L1, None).unwrap();
     assert!(
         d.stats().residual <= 0.011,
         "residual {}",
@@ -80,7 +80,7 @@ fn oversized_rank_is_harmless() {
         target_rank: TargetRank::Exact(9),
         ..DecompositionConfig::default()
     };
-    let d = WorkloadDecomposition::compute(&w, &cfg).unwrap();
+    let d = WorkloadDecomposition::compute(&w, &cfg, SensitivityNorm::L1, None).unwrap();
     assert_eq!(d.rank(), 9);
     assert!(d.sensitivity() <= 1.0 + 1e-9);
     assert!(d.stats().residual <= 0.011);
@@ -154,7 +154,7 @@ fn decomposition_rejects_pathological_configs() {
             ..DecompositionConfig::default()
         },
     ] {
-        assert!(WorkloadDecomposition::compute(&w, &cfg).is_err());
+        assert!(WorkloadDecomposition::compute(&w, &cfg, SensitivityNorm::L1, None).is_err());
     }
 }
 
@@ -173,7 +173,13 @@ fn negative_and_fractional_counts_are_fine() {
 #[test]
 fn structural_error_zero_when_converged() {
     let w = Workload::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 1.0, 1.0]]).unwrap();
-    let d = WorkloadDecomposition::compute(&w, &DecompositionConfig::default()).unwrap();
+    let d = WorkloadDecomposition::compute(
+        &w,
+        &DecompositionConfig::default(),
+        SensitivityNorm::L1,
+        None,
+    )
+    .unwrap();
     let x = [100.0, 200.0, 300.0];
     let s = d.structural_error(&x).unwrap();
     // Residual is polished to ~1e-3·‖W‖ scale; with counts ~100s the

@@ -5,6 +5,7 @@
 use lrm_core::decomposition::{DecompositionConfig, TargetRank, WorkloadDecomposition};
 use lrm_core::persistence::{load_decomposition, save_decomposition};
 use lrm_core::CoreError;
+use lrm_dp::SensitivityNorm;
 use lrm_workload::Workload;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -49,7 +50,8 @@ fn quick_config() -> DecompositionConfig {
 }
 
 fn decompose(w: &Workload) -> WorkloadDecomposition {
-    WorkloadDecomposition::compute(w, &quick_config()).expect("small decompositions succeed")
+    WorkloadDecomposition::compute(w, &quick_config(), SensitivityNorm::L1, None)
+        .expect("small decompositions succeed")
 }
 
 proptest! {

@@ -4,6 +4,7 @@
 //! solver guarantees.
 
 use lrm_core::decomposition::{DecompositionConfig, TargetRank, WorkloadDecomposition};
+use lrm_dp::SensitivityNorm;
 use lrm_opt::WarmStart;
 use lrm_workload::Workload;
 use proptest::prelude::*;
@@ -54,7 +55,7 @@ proptest! {
         bump_col in 0usize..4,
     ) {
         let cfg = config();
-        let seed_dec = WorkloadDecomposition::compute(&w, &cfg).unwrap();
+        let seed_dec = WorkloadDecomposition::compute(&w, &cfg, SensitivityNorm::L1, None).unwrap();
 
         // A near-duplicate: one entry nudged.
         let mut m = w.op().to_dense();
@@ -63,9 +64,9 @@ proptest! {
         m.set(i, j, m.get(i, j) + 0.5);
         let wb = Workload::new(m).unwrap();
 
-        let cold = WorkloadDecomposition::compute(&wb, &cfg).unwrap();
+        let cold = WorkloadDecomposition::compute(&wb, &cfg, SensitivityNorm::L1, None).unwrap();
         let seed = WarmStart::new(seed_dec.b().clone(), seed_dec.l().clone());
-        let warm = WorkloadDecomposition::compute_with_init(&wb, &cfg, Some(&seed)).unwrap();
+        let warm = WorkloadDecomposition::compute(&wb, &cfg, SensitivityNorm::L1, Some(&seed)).unwrap();
 
         // Identical feasibility contract, identical sensitivity bound.
         prop_assert!(warm.sensitivity() <= 1.0 + 1e-9);
@@ -93,20 +94,20 @@ proptest! {
         target in 1usize..6,
     ) {
         let cfg = config();
-        let seed_dec = WorkloadDecomposition::compute(&w, &cfg).unwrap();
+        let seed_dec = WorkloadDecomposition::compute(&w, &cfg, SensitivityNorm::L1, None).unwrap();
         let seed = WarmStart::new(seed_dec.b().clone(), seed_dec.l().clone());
 
         let cfg_r = DecompositionConfig {
             target_rank: TargetRank::Exact(target),
             ..config()
         };
-        let warm = WorkloadDecomposition::compute_with_init(&w, &cfg_r, Some(&seed)).unwrap();
+        let warm = WorkloadDecomposition::compute(&w, &cfg_r, SensitivityNorm::L1, Some(&seed)).unwrap();
         prop_assert_eq!(warm.rank(), target);
         prop_assert!(warm.sensitivity() <= 1.0 + 1e-9);
         prop_assert!(warm.stats().residual.is_finite());
         // When the target rank can represent W and the cold run converges,
         // the warm run must too.
-        let cold = WorkloadDecomposition::compute(&w, &cfg_r).unwrap();
+        let cold = WorkloadDecomposition::compute(&w, &cfg_r, SensitivityNorm::L1, None).unwrap();
         if cold.stats().converged {
             prop_assert!(
                 warm.stats().converged,

@@ -22,9 +22,9 @@
 //! default `cargo run` dev profile); in release builds the harness still
 //! exercises restarts and file damage and says so.
 
+use lrm_eval::cli::{refuse_shaping, Flags};
 use lrm_eval::experiments::chaos::{run_chaos, ChaosConfig};
 use lrm_eval::fail;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
@@ -36,36 +36,20 @@ struct Args {
     shaping_flags: Vec<&'static str>,
 }
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut out = Args {
         cfg: ChaosConfig::default(),
         smoke: false,
         shaping_flags: Vec::new(),
     };
-    fn next_parse<T: std::str::FromStr>(
-        flag: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<T, String> {
-        let v = args.next().ok_or(format!("{flag} needs a value"))?;
-        v.parse().map_err(|_| format!("bad {flag}: {v}"))
-    }
-    while let Some(arg) = args.next() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
         match arg.as_str() {
             "--smoke" => out.smoke = true,
             "--quiet" => out.cfg.quiet = true,
-            "--cycles" => {
-                out.shaping_flags.push("--cycles");
-                out.cfg.cycles = next_parse("--cycles", &mut args)?;
-            }
-            "--seed" => {
-                out.shaping_flags.push("--seed");
-                out.cfg.seed = next_parse("--seed", &mut args)?;
-            }
-            "--state-dir" => {
-                out.shaping_flags.push("--state-dir");
-                let v = args.next().ok_or("--state-dir needs a path")?;
-                out.cfg.state_dir = Some(PathBuf::from(v));
-            }
+            "--cycles" => out.cfg.cycles = flags.shaping("--cycles")?,
+            "--seed" => out.cfg.seed = flags.shaping("--seed")?,
+            "--state-dir" => out.cfg.state_dir = Some(flags.shaping("--state-dir")?),
             other => {
                 return Err(format!(
                     "unknown argument: {other} (try --smoke, --cycles N, --seed S, --state-dir DIR, --quiet)"
@@ -73,6 +57,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             }
         }
     }
+    out.shaping_flags = flags.shaping;
     Ok(out)
 }
 
@@ -89,12 +74,7 @@ fn main() -> ExitCode {
         }
     };
     let cfg = if args.smoke {
-        if !args.shaping_flags.is_empty() {
-            fail!(
-                BIN,
-                "chaos: --smoke runs a pinned configuration and does not accept {}",
-                args.shaping_flags.join(", ")
-            );
+        if refuse_shaping(BIN, "--smoke", &args.shaping_flags) {
             return ExitCode::FAILURE;
         }
         ChaosConfig {

@@ -13,12 +13,14 @@
 //! `--smoke` runs the CI regression gate on a pinned small configuration
 //! and fails unless (a) the coalescing run sustains **strictly higher
 //! throughput** than the per-query baseline, (b) **zero** tenants were
-//! granted more ε than they registered (within the ledger's documented
-//! one-slack bound), (c) **zero** operator densifications occurred in
-//! either run's compiles (the server's own count), and (d) at least one
-//! batch actually coalesced. After the pure gate it runs the mixed-ε
-//! Gaussian gate ([`ServingConfig::gaussian_smoke`]) so one entry point
-//! covers both noise flavors.
+//! granted more ε (or δ) than they registered (within the ledger's
+//! documented one-slack bound), (c) **zero** operator densifications
+//! occurred in either run's compiles (the server's own count), and (d) at
+//! least one batch actually coalesced — every condition of
+//! [`ServingReport::smoke_failures`](lrm_eval::experiments::serving::ServingReport::smoke_failures).
+//! After the pure gate it runs the mixed-ε Gaussian gate
+//! ([`ServingConfig::gaussian_smoke`]) through the same conditions plus
+//! cross-ε batching, so one entry point covers both noise flavors.
 //! The third pass is the evented front-end gate
 //! ([`EventedConfig::smoke`]): ≥ 10⁴ requests concurrently in flight
 //! from a handful of driver threads over the sharded scheduler, with
@@ -27,21 +29,22 @@
 //! zero over-spend and zero densifications. `--evented` runs that same
 //! pinned comparison alone and writes the `BENCH_9.json`-style report.
 //! The fourth pass is the **observability overhead gate**: the pinned
-//! coalescing configuration runs twice more, once with tracing disabled
-//! and once streaming every span and event through a JSON-lines
-//! subscriber into a sink, and fails if tracing costs more than 5% of
-//! the untraced throughput.
+//! coalescing configuration runs in alternating untraced/traced pairs,
+//! with tracing disabled and streaming every span and event through a
+//! JSON-lines subscriber into a sink, and fails if the traced runs'
+//! summed throughput is more than 5% below the untraced runs'.
 //!
 //! Set `LRM_TRACE=<path>` on any invocation to capture the full
 //! request-lifecycle trace (and the binary's own progress events) as
 //! JSON lines at that path.
 
+use lrm_eval::cli::{refuse_shaping, Flags};
 use lrm_eval::experiments::evented::{run_evented_bench, EventedConfig};
 use lrm_eval::experiments::gaussian::run_gaussian_bench;
 use lrm_eval::experiments::serving::{
     build_trace, run_serving_bench, run_serving_mode, ServingConfig, ServingMode,
 };
-use lrm_eval::fail;
+use lrm_eval::{emit_report, fail};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -60,7 +63,7 @@ struct Args {
     saw_budget: bool,
 }
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut out = Args {
         cfg: ServingConfig::default(),
         out: None,
@@ -70,79 +73,32 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         shaping_flags: Vec::new(),
         saw_budget: false,
     };
-    fn next_parse<T: std::str::FromStr>(
-        flag: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<T, String> {
-        let v = args.next().ok_or(format!("{flag} needs a value"))?;
-        v.parse().map_err(|_| format!("bad {flag}: {v}"))
-    }
-    while let Some(arg) = args.next() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        let cfg = &mut out.cfg;
         match arg.as_str() {
             "--smoke" => out.smoke = true,
             "--evented" => out.evented = true,
-            "--quiet" => out.cfg.quiet = true,
-            "--n" => {
-                out.shaping_flags.push("--n");
-                out.cfg.buckets = next_parse("--n", &mut args)?;
-            }
-            "--cuts" => {
-                out.shaping_flags.push("--cuts");
-                out.cfg.cuts = next_parse("--cuts", &mut args)?;
-            }
-            "--tenants" => {
-                out.shaping_flags.push("--tenants");
-                out.cfg.tenants = next_parse("--tenants", &mut args)?;
-            }
-            "--clients" => {
-                out.shaping_flags.push("--clients");
-                out.cfg.clients = next_parse("--clients", &mut args)?;
-            }
-            "--requests" => {
-                out.shaping_flags.push("--requests");
-                out.cfg.requests_per_client = next_parse("--requests", &mut args)?;
-            }
-            "--burst" => {
-                out.shaping_flags.push("--burst");
-                out.cfg.burst = next_parse("--burst", &mut args)?;
-            }
-            "--spec-queries" => {
-                out.shaping_flags.push("--spec-queries");
-                out.cfg.spec_queries = next_parse("--spec-queries", &mut args)?;
-            }
+            "--quiet" => cfg.quiet = true,
+            "--n" => cfg.buckets = flags.shaping("--n")?,
+            "--cuts" => cfg.cuts = flags.shaping("--cuts")?,
+            "--tenants" => cfg.tenants = flags.shaping("--tenants")?,
+            "--clients" => cfg.clients = flags.shaping("--clients")?,
+            "--requests" => cfg.requests_per_client = flags.shaping("--requests")?,
+            "--burst" => cfg.burst = flags.shaping("--burst")?,
+            "--spec-queries" => cfg.spec_queries = flags.shaping("--spec-queries")?,
             "--window-ms" => {
-                out.shaping_flags.push("--window-ms");
-                let ms: f64 = next_parse("--window-ms", &mut args)?;
-                out.cfg.window = Duration::from_secs_f64(ms / 1e3);
+                cfg.window = Duration::from_secs_f64(flags.shaping::<f64>("--window-ms")? / 1e3)
             }
-            "--max-batch" => {
-                out.shaping_flags.push("--max-batch");
-                out.cfg.max_batch = next_parse("--max-batch", &mut args)?;
-            }
-            "--workers" => {
-                out.shaping_flags.push("--workers");
-                out.cfg.workers = next_parse("--workers", &mut args)?;
-            }
-            "--eps" => {
-                out.shaping_flags.push("--eps");
-                out.cfg.eps_request = next_parse("--eps", &mut args)?;
-            }
-            "--tenant-budget" => {
-                out.shaping_flags.push("--tenant-budget");
-                out.cfg.tenant_budget = next_parse("--tenant-budget", &mut args)?;
-            }
-            "--seed" => {
-                out.shaping_flags.push("--seed");
-                out.cfg.seed = next_parse("--seed", &mut args)?;
-            }
-            "--out" => {
-                out.shaping_flags.push("--out");
-                let v = args.next().ok_or("--out needs a path")?;
-                out.out = Some(PathBuf::from(v));
-            }
+            "--max-batch" => cfg.max_batch = flags.shaping("--max-batch")?,
+            "--workers" => cfg.workers = flags.shaping("--workers")?,
+            "--eps" => cfg.eps_request = flags.shaping("--eps")?,
+            "--tenant-budget" => cfg.tenant_budget = flags.shaping("--tenant-budget")?,
+            "--seed" => cfg.seed = flags.shaping("--seed")?,
+            "--out" => out.out = Some(flags.shaping("--out")?),
             "--budget-seconds" => {
                 out.saw_budget = true;
-                out.budget_seconds = next_parse("--budget-seconds", &mut args)?;
+                out.budget_seconds = flags.value("--budget-seconds")?;
             }
             other => {
                 return Err(format!(
@@ -151,11 +107,15 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             }
         }
     }
+    out.shaping_flags = flags.shaping;
     Ok(out)
 }
 
 /// Binary name for progress routing (see `lrm_eval::progress`).
 const BIN: &str = "load_sim";
+
+/// Untraced/traced run pairs of the observability overhead gate.
+const OBS_PAIRS: usize = 6;
 
 fn main() -> ExitCode {
     lrm_eval::progress::init_tracing(BIN);
@@ -168,90 +128,50 @@ fn main() -> ExitCode {
     };
 
     if args.smoke {
-        if !args.shaping_flags.is_empty() {
-            fail!(
-                BIN,
-                "load_sim: --smoke runs a pinned configuration and does not accept {}",
-                args.shaping_flags.join(", ")
-            );
+        if refuse_shaping(BIN, "--smoke", &args.shaping_flags) {
             return ExitCode::FAILURE;
         }
-        let cfg = ServingConfig {
-            quiet: args.cfg.quiet,
-            ..ServingConfig::smoke()
-        };
         let t0 = Instant::now();
-        let report = run_serving_bench(&cfg);
-        println!(
-            "smoke: speedup {:.2}x, {} coalesced batches (mean occupancy {:.2}), \
-             error ratio {:.2}, overspend {}, densifications {}",
-            report.speedup(),
-            report.coalesced.coalesced_batches,
-            report.coalesced.mean_occupancy,
-            report.error_ratio(),
-            report.coalesced.overspend || report.baseline.overspend,
-            report.coalesced.densifications + report.baseline.densifications,
-        );
+        let quiet = args.cfg.quiet;
         let mut failed = false;
-        if report.speedup() <= 1.0 {
-            fail!(BIN,
-                "FAIL: coalescing throughput {:.1} req/s is not strictly above the baseline {:.1} req/s",
-                report.coalesced.requests_per_second, report.baseline.requests_per_second
-            );
-            failed = true;
-        }
-        if report.coalesced.overspend || report.baseline.overspend {
-            fail!(BIN, "FAIL: a tenant was granted more ε than it registered");
-            failed = true;
-        }
-        if report.coalesced.densifications + report.baseline.densifications != 0 {
-            fail!(
-                BIN,
-                "FAIL: the serving path densified a structured workload"
-            );
-            failed = true;
-        }
-        if report.coalesced.coalesced_batches == 0 {
-            fail!(BIN, "FAIL: the coalescing run never coalesced a batch");
-            failed = true;
-        }
-
-        // Second pass: the same gate under approximate DP, on a mixed-ε
-        // trace. Cross-ε (δ-class) coalescing must strictly beat the
-        // ε-keyed scheduler with zero ε or δ over-spend.
-        let gaussian_cfg = ServingConfig {
-            quiet: args.cfg.quiet,
+        // First pass: coalescing against per-query serving. Second pass:
+        // the same gate under approximate DP on a mixed-ε trace, where
+        // cross-ε (δ-class) coalescing must strictly beat the ε-keyed
+        // scheduler with zero ε or δ over-spend.
+        let pure = run_serving_bench(&ServingConfig {
+            quiet,
+            ..ServingConfig::smoke()
+        });
+        let gaussian = run_gaussian_bench(&ServingConfig {
+            quiet,
             ..ServingConfig::gaussian_smoke()
-        };
-        let gaussian = run_gaussian_bench(&gaussian_cfg);
-        println!(
-            "smoke (gaussian): speedup {:.2}x over eps-fragmented, {} cross-eps batches, \
-             eps overspend {}, delta overspend {}",
-            gaussian.speedup(),
-            gaussian.coalesced.cross_eps_batches,
-            gaussian.coalesced.overspend || gaussian.fragmented.overspend,
-            gaussian.coalesced.delta_overspend || gaussian.fragmented.delta_overspend,
-        );
-        if !gaussian.passes_smoke() {
-            fail!(BIN,
-                "FAIL: the mixed-eps gaussian gate did not hold (speedup {:.2}x, {} cross-eps batches)",
-                gaussian.speedup(),
-                gaussian.coalesced.cross_eps_batches
+        });
+        for (pass, report) in [("smoke", &pure), ("smoke (gaussian)", &gaussian)] {
+            println!(
+                "{pass}: speedup {:.2}x over {}, {} coalesced batches ({} cross-eps, mean occupancy {:.2}), \
+                 error ratio {:.2}, eps overspend {}, delta overspend {}, densifications {}",
+                report.speedup(),
+                report.baseline.mode,
+                report.coalesced.coalesced_batches,
+                report.coalesced.cross_eps_batches,
+                report.coalesced.mean_occupancy,
+                report.error_ratio(),
+                report.coalesced.overspend || report.baseline.overspend,
+                report.coalesced.delta_overspend || report.baseline.delta_overspend,
+                report.coalesced.densifications + report.baseline.densifications,
             );
-            failed = true;
+            for failure in report.smoke_failures() {
+                fail!(BIN, "FAIL: {pass}: {failure}");
+                failed = true;
+            }
         }
 
         // Third pass: the evented front-end gate. A handful of driver
         // threads must hold ≥ 10⁴ requests in flight over the sharded
         // scheduler and strictly beat the thread-per-client blocking
         // driver on both throughput and p99 latency at equal ε.
-        let evented_cfg = EventedConfig {
-            serving: lrm_eval::experiments::serving::ServingConfig {
-                quiet: args.cfg.quiet,
-                ..EventedConfig::smoke().serving
-            },
-            ..EventedConfig::smoke()
-        };
+        let mut evented_cfg = EventedConfig::smoke();
+        evented_cfg.serving.quiet = args.cfg.quiet;
         let evented = run_evented_bench(&evented_cfg);
         println!(
             "smoke (evented): {:.2}x throughput, {:.2}x p99 gain, {} peak in-flight \
@@ -276,36 +196,46 @@ fn main() -> ExitCode {
         }
 
         // Fourth pass: the observability overhead gate. The pinned
-        // coalescing trace runs twice more on identical configurations —
-        // once with tracing fully disabled (the one-relaxed-load fast
-        // path) and once streaming every span and event through a
-        // JsonLines subscriber into a sink — and the traced run must
-        // hold at least 95% of the untraced throughput.
+        // coalescing trace runs OBS_PAIRS more times each way on identical
+        // configurations — with tracing fully disabled (the one-relaxed-
+        // load fast path) and streaming every span and event through a
+        // JsonLines subscriber into a sink — and the traced runs' summed
+        // throughput must hold at least 95% of the untraced runs'. The
+        // runs alternate U,T,T,U,… so each side goes first equally often
+        // and a drift in the host's load over the pass hits both sides.
         let obs_cfg = ServingConfig {
             quiet: true,
             ..ServingConfig::smoke()
         };
         let obs_trace = build_trace(&obs_cfg);
         let prior = lrm_obs::uninstall();
-        let untraced = run_serving_mode(&obs_cfg, &obs_trace, ServingMode::Coalescing);
-        lrm_obs::install(Arc::new(lrm_obs::JsonLines::new(std::io::sink())));
-        let traced = run_serving_mode(&obs_cfg, &obs_trace, ServingMode::Coalescing);
-        lrm_obs::uninstall();
+        let sink: Arc<dyn lrm_obs::Subscriber> = Arc::new(lrm_obs::JsonLines::new(std::io::sink()));
+        let (mut untraced, mut traced) = (0.0, 0.0);
+        for run in 0..2 * OBS_PAIRS {
+            let tracing = matches!(run % 4, 1 | 2);
+            if tracing {
+                lrm_obs::install(sink.clone());
+            }
+            let stats = run_serving_mode(&obs_cfg, &obs_trace, ServingMode::Coalescing);
+            if tracing {
+                lrm_obs::uninstall();
+                traced += stats.requests_per_second;
+            } else {
+                untraced += stats.requests_per_second;
+            }
+        }
         if let Some(prior) = prior {
             lrm_obs::install(prior);
         }
+        let (traced, untraced) = (traced / OBS_PAIRS as f64, untraced / OBS_PAIRS as f64);
         println!(
-            "smoke (obs): traced {:.1} req/s vs untraced {:.1} req/s ({:+.1}% throughput)",
-            traced.requests_per_second,
-            untraced.requests_per_second,
-            100.0 * (traced.requests_per_second / untraced.requests_per_second.max(1e-12) - 1.0),
+            "smoke (obs): traced {traced:.1} req/s vs untraced {untraced:.1} req/s over {OBS_PAIRS} alternating pairs ({:+.1}% throughput)",
+            100.0 * (traced / untraced.max(1e-12) - 1.0),
         );
-        if traced.requests_per_second < 0.95 * untraced.requests_per_second {
+        if traced < 0.95 * untraced {
             fail!(
                 BIN,
-                "FAIL: tracing costs more than 5% throughput ({:.1} req/s traced vs {:.1} req/s untraced)",
-                traced.requests_per_second,
-                untraced.requests_per_second
+                "FAIL: tracing costs more than 5% throughput ({traced:.1} req/s traced vs {untraced:.1} req/s untraced)"
             );
             failed = true;
         }
@@ -335,27 +265,14 @@ fn main() -> ExitCode {
         let refused: Vec<_> = args
             .shaping_flags
             .iter()
-            .filter(|f| **f != "--out")
+            .copied()
+            .filter(|f| *f != "--out")
             .collect();
-        if !refused.is_empty() {
-            fail!(
-                BIN,
-                "load_sim: --evented runs a pinned configuration and does not accept {}",
-                refused
-                    .iter()
-                    .map(|f| f.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
+        if refuse_shaping(BIN, "--evented", &refused) {
             return ExitCode::FAILURE;
         }
-        let cfg = EventedConfig {
-            serving: lrm_eval::experiments::serving::ServingConfig {
-                quiet: args.cfg.quiet,
-                ..EventedConfig::smoke().serving
-            },
-            ..EventedConfig::smoke()
-        };
+        let mut cfg = EventedConfig::smoke();
+        cfg.serving.quiet = args.cfg.quiet;
         let report = run_evented_bench(&cfg);
         println!(
             "evented vs blocking front end: {:.2}x throughput, {:.2}x p99 gain, {} peak in-flight, gate {}",
@@ -368,14 +285,8 @@ fn main() -> ExitCode {
             "evented front end, {} virtual clients x {} requests over {} shards / {} driver threads (evented vs blocking)",
             cfg.serving.clients, cfg.serving.requests_per_client, cfg.shards, cfg.driver_threads
         );
-        if let Some(path) = &args.out {
-            if let Err(e) = report.write(path, &label) {
-                fail!(BIN, "load_sim: cannot write {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-            println!("report written to {}", path.display());
-        } else {
-            println!("{}", report.to_json(&label));
+        if !emit_report(BIN, args.out.as_deref(), &report.to_json(&label)) {
+            return ExitCode::FAILURE;
         }
         return if report.passes_smoke() {
             ExitCode::SUCCESS
@@ -401,14 +312,8 @@ fn main() -> ExitCode {
         report.config.tenants,
         report.config.eps_request
     );
-    if let Some(path) = &args.out {
-        if let Err(e) = report.write(path, &label) {
-            fail!(BIN, "load_sim: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("report written to {}", path.display());
-    } else {
-        println!("{}", report.to_json(&label));
+    if !emit_report(BIN, args.out.as_deref(), &report.to_json(&label)) {
+        return ExitCode::FAILURE;
     }
     if report.passes_smoke() {
         ExitCode::SUCCESS

@@ -15,8 +15,9 @@
 //! slowing it down. The smoke runs in its own process, which is what
 //! makes the global densification counter assertable.
 
+use lrm_eval::cli::{refuse_shaping, Flags};
 use lrm_eval::experiments::scaling::{run_scaling_sweep, ScalingConfig, ScalingFamily};
-use lrm_eval::fail;
+use lrm_eval::{emit_report, fail};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -35,7 +36,7 @@ struct Args {
     saw_budget: bool,
 }
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut out = Args {
         cfg: ScalingConfig::default(),
         out: None,
@@ -44,55 +45,33 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         sweep_flags: Vec::new(),
         saw_budget: false,
     };
-    while let Some(arg) = args.next() {
-        // Each sweep-shaping arm records itself in `sweep_flags` so the
-        // `--smoke` conflict check can never drift out of sync with the
-        // flags that actually exist.
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
         match arg.as_str() {
             "--smoke" => out.smoke = true,
             "--quiet" => out.cfg.quiet = true,
             "--family" => {
-                out.sweep_flags.push("--family");
-                let v = args.next().ok_or("--family needs prefix|range|coarse")?;
-                out.cfg.family = match v.as_str() {
+                out.cfg.family = match flags.shaping::<String>("--family")?.as_str() {
                     "prefix" => ScalingFamily::Prefix,
                     "range" => ScalingFamily::Range,
                     "coarse" => ScalingFamily::RangeCoarse,
                     other => return Err(format!("unknown family: {other}")),
                 };
             }
-            "--queries" => {
-                out.sweep_flags.push("--queries");
-                let v = args.next().ok_or("--queries needs a value")?;
-                out.cfg.queries = v.parse().map_err(|_| format!("bad --queries: {v}"))?;
-            }
-            "--dense-cap" => {
-                out.sweep_flags.push("--dense-cap");
-                let v = args.next().ok_or("--dense-cap needs a value")?;
-                out.cfg.dense_cap = v.parse().map_err(|_| format!("bad --dense-cap: {v}"))?;
-            }
+            "--queries" => out.cfg.queries = flags.shaping("--queries")?,
+            "--dense-cap" => out.cfg.dense_cap = flags.shaping("--dense-cap")?,
             "--sizes" => {
-                out.sweep_flags.push("--sizes");
-                let v = args.next().ok_or("--sizes needs a comma list")?;
-                out.cfg.domain_sizes = v
+                out.cfg.domain_sizes = flags
+                    .shaping::<String>("--sizes")?
                     .split(',')
                     .map(|s| s.trim().parse().map_err(|_| format!("bad size: {s}")))
                     .collect::<Result<_, _>>()?;
             }
-            "--seed" => {
-                out.sweep_flags.push("--seed");
-                let v = args.next().ok_or("--seed needs a value")?;
-                out.cfg.seed = v.parse().map_err(|_| format!("bad --seed: {v}"))?;
-            }
-            "--out" => {
-                out.sweep_flags.push("--out");
-                let v = args.next().ok_or("--out needs a path")?;
-                out.out = Some(PathBuf::from(v));
-            }
+            "--seed" => out.cfg.seed = flags.shaping("--seed")?,
+            "--out" => out.out = Some(flags.shaping("--out")?),
             "--budget-seconds" => {
                 out.saw_budget = true;
-                let v = args.next().ok_or("--budget-seconds needs a value")?;
-                out.budget_seconds = v.parse().map_err(|_| format!("bad budget: {v}"))?;
+                out.budget_seconds = flags.value("--budget-seconds")?;
             }
             other => {
                 return Err(format!(
@@ -101,6 +80,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             }
         }
     }
+    out.sweep_flags = flags.shaping;
     Ok(out)
 }
 
@@ -118,14 +98,7 @@ fn main() -> ExitCode {
     };
 
     if args.smoke {
-        // The smoke gate is a pinned configuration; refuse sweep-shaping
-        // flags instead of silently ignoring them.
-        if !args.sweep_flags.is_empty() {
-            fail!(
-                BIN,
-                "scaling_sweep: --smoke runs a pinned n=4096 prefix config and does not accept {}",
-                args.sweep_flags.join(", ")
-            );
+        if refuse_shaping(BIN, "--smoke", &args.sweep_flags) {
             return ExitCode::FAILURE;
         }
         // CI gate: n = 4096 prefix, structured path only, modest m so the
@@ -182,14 +155,8 @@ fn main() -> ExitCode {
         "domain scaling sweep, {} m={} (structured vs dense LRM compile)",
         report.family, report.queries
     );
-    if let Some(path) = &args.out {
-        if let Err(e) = report.write(path, &label) {
-            fail!(BIN, "scaling_sweep: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("report written to {}", path.display());
-    } else {
-        println!("{}", report.to_json(&label));
+    if !emit_report(BIN, args.out.as_deref(), &report.to_json(&label)) {
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -18,8 +18,9 @@
 //! *server* replays the working set end to end with zero engine cache
 //! misses.
 
+use lrm_eval::cli::{refuse_shaping, Flags};
 use lrm_eval::experiments::warm_start::{run_warm_start_bench, WarmStartConfig};
-use lrm_eval::fail;
+use lrm_eval::{emit_report, fail};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -36,7 +37,7 @@ struct Args {
     saw_budget: bool,
 }
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
+fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut out = Args {
         cfg: WarmStartConfig::default(),
         out: None,
@@ -45,46 +46,20 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
         shaping_flags: Vec::new(),
         saw_budget: false,
     };
-    fn next_parse<T: std::str::FromStr>(
-        flag: &str,
-        args: &mut impl Iterator<Item = String>,
-    ) -> Result<T, String> {
-        let v = args.next().ok_or(format!("{flag} needs a value"))?;
-        v.parse().map_err(|_| format!("bad {flag}: {v}"))
-    }
-    while let Some(arg) = args.next() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
         match arg.as_str() {
             "--smoke" => out.smoke = true,
             "--quiet" => out.cfg.quiet = true,
-            "--n" => {
-                out.shaping_flags.push("--n");
-                out.cfg.buckets = next_parse("--n", &mut args)?;
-            }
-            "--shapes" => {
-                out.shaping_flags.push("--shapes");
-                out.cfg.shapes = next_parse("--shapes", &mut args)?;
-            }
-            "--cuts" => {
-                out.shaping_flags.push("--cuts");
-                out.cfg.cuts = next_parse("--cuts", &mut args)?;
-            }
-            "--seed" => {
-                out.shaping_flags.push("--seed");
-                out.cfg.seed = next_parse("--seed", &mut args)?;
-            }
-            "--store-dir" => {
-                out.shaping_flags.push("--store-dir");
-                let v = args.next().ok_or("--store-dir needs a path")?;
-                out.cfg.store_dir = Some(PathBuf::from(v));
-            }
-            "--out" => {
-                out.shaping_flags.push("--out");
-                let v = args.next().ok_or("--out needs a path")?;
-                out.out = Some(PathBuf::from(v));
-            }
+            "--n" => out.cfg.buckets = flags.shaping("--n")?,
+            "--shapes" => out.cfg.shapes = flags.shaping("--shapes")?,
+            "--cuts" => out.cfg.cuts = flags.shaping("--cuts")?,
+            "--seed" => out.cfg.seed = flags.shaping("--seed")?,
+            "--store-dir" => out.cfg.store_dir = Some(flags.shaping("--store-dir")?),
+            "--out" => out.out = Some(flags.shaping("--out")?),
             "--budget-seconds" => {
                 out.saw_budget = true;
-                out.budget_seconds = next_parse("--budget-seconds", &mut args)?;
+                out.budget_seconds = flags.value("--budget-seconds")?;
             }
             other => {
                 return Err(format!(
@@ -93,6 +68,7 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
             }
         }
     }
+    out.shaping_flags = flags.shaping;
     Ok(out)
 }
 
@@ -110,12 +86,7 @@ fn main() -> ExitCode {
     };
 
     if args.smoke {
-        if !args.shaping_flags.is_empty() {
-            fail!(
-                BIN,
-                "warm_start: --smoke runs a pinned configuration and does not accept {}",
-                args.shaping_flags.join(", ")
-            );
+        if refuse_shaping(BIN, "--smoke", &args.shaping_flags) {
             return ExitCode::FAILURE;
         }
         let cfg = WarmStartConfig {
@@ -135,48 +106,8 @@ fn main() -> ExitCode {
             report.server_misses,
         );
         let mut failed = false;
-        if report.median_reduction < 0.30 {
-            fail!(
-                BIN,
-                "FAIL: median warm-start iteration reduction {:.1}% is below the 30% gate",
-                report.median_reduction * 100.0
-            );
-            failed = true;
-        }
-        for s in report.shapes.iter().skip(1) {
-            if !s.warm_started {
-                fail!(BIN,
-                    "FAIL: the boundary-{} near-duplicate did not warm-start from the similarity index",
-                    s.nudge
-                );
-                failed = true;
-            } else if s.warm_iterations >= s.cold_iterations {
-                fail!(BIN,
-                    "FAIL: the boundary-{} near-duplicate took {} warm iterations, not strictly fewer than {} cold",
-                    s.nudge, s.warm_iterations, s.cold_iterations
-                );
-                failed = true;
-            }
-        }
-        if report.restart_misses != 0 || report.restart_disk_hits != cfg.shapes as u64 {
-            fail!(BIN,
-                "FAIL: a restarted engine recompiled the working set ({} disk hits, {} misses over {} shapes)",
-                report.restart_disk_hits, report.restart_misses, cfg.shapes
-            );
-            failed = true;
-        }
-        if !report.restart_warm_start {
-            fail!(
-                BIN,
-                "FAIL: a restarted engine did not warm-start a new shape from the store"
-            );
-            failed = true;
-        }
-        if report.server_misses != 0 || report.server_answered != cfg.shapes as u64 {
-            fail!(BIN,
-                "FAIL: a restarted server replayed the working set with {} answered and {} cache misses",
-                report.server_answered, report.server_misses
-            );
+        for failure in report.smoke_failures() {
+            fail!(BIN, "FAIL: {failure}");
             failed = true;
         }
         if elapsed > args.budget_seconds {
@@ -203,14 +134,8 @@ fn main() -> ExitCode {
         "warm-started compile farm, {} near-duplicate {}-cut panels (single-boundary nudges) over n = {}, cold vs warmed vs restarted-with-store",
         report.config.shapes, report.config.cuts, report.config.buckets,
     );
-    if let Some(path) = &args.out {
-        if let Err(e) = report.write(path, &label) {
-            fail!(BIN, "warm_start: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("report written to {}", path.display());
-    } else {
-        println!("{}", report.to_json(&label));
+    if !emit_report(BIN, args.out.as_deref(), &report.to_json(&label)) {
+        return ExitCode::FAILURE;
     }
     if report.passes_smoke() {
         ExitCode::SUCCESS

@@ -16,7 +16,7 @@ use lrm_core::decomposition::{DecompositionConfig, WorkloadDecomposition};
 use lrm_core::mechanism::Mechanism;
 use lrm_core::LowRankMechanism;
 use lrm_dp::rng::{derive_rng, stream_of};
-use lrm_dp::Epsilon;
+use lrm_dp::{Epsilon, SensitivityNorm};
 use lrm_opt::{AlmSchedule, NesterovConfig};
 use lrm_workload::generators::{WPermutedRange, WRange, WorkloadGenerator};
 use lrm_workload::Workload;
@@ -105,7 +105,12 @@ fn run_variants(workload: &Workload, wname: &str, ctx: &ExperimentContext) -> Ve
     let mut records = Vec::new();
     for variant in variants() {
         let t0 = Instant::now();
-        let decomposition = match WorkloadDecomposition::compute(workload, &variant.config) {
+        let decomposition = match WorkloadDecomposition::compute(
+            workload,
+            &variant.config,
+            SensitivityNorm::L1,
+            None,
+        ) {
             Ok(d) => d,
             Err(e) => {
                 table.row(vec![

@@ -661,7 +661,7 @@ fn postmortem_census(flightrec: &Path) -> u64 {
                 !text.trim().is_empty()
                     && text
                         .lines()
-                        .all(|l| l.starts_with('{') && l.ends_with('}') && l.contains("\"t\":"))
+                        .all(|l| l.starts_with(r#"{"t":"#) && l.ends_with('}'))
             })
         })
         .count() as u64

@@ -44,17 +44,14 @@
 //! blocking driver, and to actually spread load across ≥ 2 scheduler
 //! shards with bounded imbalance.
 
-use crate::experiments::scaling::scaling_lrm_config;
 use crate::experiments::serving::{
-    build_trace, ServingConfig, ServingRunStats, Trace, TraceRequest,
+    build_server, build_trace, collect_stats, ClientOutcome, ServingConfig, ServingMode,
+    ServingRunStats, Trace, TraceRequest,
 };
 use crate::report::TableWriter;
-use lrm_core::engine::{CompileOptions, Engine, MechanismKind, NoiseFlavor};
-use lrm_dp::{Budget, Epsilon};
-use lrm_server::{Client, Server, ServerError, ServerReport, Ticket, TicketSet};
+use lrm_obs::json;
+use lrm_server::{Client, ServerReport, Ticket, TicketSet};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Configuration of the evented-vs-blocking comparison.
@@ -162,132 +159,22 @@ impl EventedRunStats {
     }
 }
 
-/// Per-driver-thread accumulation (one per blocking client thread or
-/// evented driver thread).
-#[derive(Debug, Default, Clone)]
-struct DriverOutcome {
-    granted_per_tenant: Vec<f64>,
-    granted_delta_per_tenant: Vec<f64>,
-    answered: u64,
-    rejected: u64,
-    queries: u64,
-    sq_err: f64,
-    /// Client-observed submit-to-completion latency of every granted
-    /// request, in microseconds (the clock starts just before the
-    /// submit call and stops when the driver observes the completion).
-    latencies_us: Vec<u64>,
-}
-
-impl DriverOutcome {
-    fn for_tenants(tenants: usize) -> Self {
-        DriverOutcome {
-            granted_per_tenant: vec![0.0; tenants],
-            granted_delta_per_tenant: vec![0.0; tenants],
-            ..DriverOutcome::default()
-        }
-    }
-
-    /// Fold one completion into the tallies.
-    fn record(
-        &mut self,
-        req: &TraceRequest,
-        outcome: Result<lrm_server::Release, ServerError>,
-        latency: Duration,
-    ) {
-        match outcome {
-            Ok(release) => {
-                self.latencies_us.push(latency.as_micros() as u64);
-                self.granted_per_tenant[req.tenant] += release.eps_spent.value();
-                self.granted_delta_per_tenant[req.tenant] += release.delta_spent;
-                self.answered += 1;
-                self.queries += release.answers.len() as u64;
-                self.sq_err += release
-                    .answers
-                    .iter()
-                    .zip(&req.exact)
-                    .map(|(a, e)| (a - e) * (a - e))
-                    .sum::<f64>();
-            }
-            Err(ServerError::Admission(_)) => self.rejected += 1,
-            Err(e) => panic!("unexpected serving failure: {e}"),
-        }
-    }
-}
-
-/// Builds one serving run's server: same engine/mechanism/scheduler
-/// shape in both modes, only the shard count differs.
-fn build_server(scfg: &ServingConfig, trace: &Trace, shards: usize) -> Server {
-    let mut options = CompileOptions::with_decomposition(scaling_lrm_config());
-    if scfg.is_gaussian() {
-        options.flavor = NoiseFlavor::ApproxDp;
-    }
-    // A fresh engine, like every serving run: cold strategy cache.
-    let server = Server::builder(trace.schema.clone(), trace.data.clone())
-        .engine(Engine::builder().build())
-        .mechanism(MechanismKind::Lrm)
-        .compile_options(options)
-        .coalesce_window(scfg.window)
-        .max_batch(scfg.max_batch)
-        .workers(scfg.workers)
-        .rank_close(scfg.rank_close)
-        .shards(shards)
-        .seed(scfg.seed)
-        .build()
-        .expect("valid server configuration");
-    let budget_eps = Epsilon::new(scfg.tenant_budget).expect("positive budget");
-    let budget = if scfg.is_gaussian() {
-        Budget::approx(budget_eps, scfg.tenant_delta).expect("valid tenant delta")
-    } else {
-        Budget::pure(budget_eps)
-    };
-    for t in 0..scfg.tenants {
-        server.register_tenant_budget(&ServingConfig::tenant_name(t), budget);
-    }
-    server
-}
-
-/// Folds driver outcomes and the server report into the shared stats
-/// shape, checking the observed grants against the registered budgets.
-fn collect_stats(
+/// Stats of one evented-comparison run: the shared serving counters,
+/// with the latency percentiles taken exactly over the client-observed
+/// latencies (the server-side histogram can't see the front end's own
+/// delays — thread wakeups, harvest loops — which are the whole point
+/// here).
+fn client_observed_stats(
     mode: &'static str,
     scfg: &ServingConfig,
-    outcomes: &[DriverOutcome],
+    outcomes: &[ClientOutcome],
     report: &ServerReport,
     wall_seconds: f64,
 ) -> ServingRunStats {
-    let mut granted = vec![0.0f64; scfg.tenants];
-    let mut granted_delta = vec![0.0f64; scfg.tenants];
-    let mut answered = 0u64;
-    let mut rejected = 0u64;
-    let mut queries = 0u64;
-    let mut sq_err = 0.0f64;
-    let mut latencies: Vec<u64> = Vec::new();
-    for o in outcomes {
-        latencies.extend_from_slice(&o.latencies_us);
-        for (g, total) in o.granted_per_tenant.iter().zip(granted.iter_mut()) {
-            *total += g;
-        }
-        for (g, total) in o
-            .granted_delta_per_tenant
-            .iter()
-            .zip(granted_delta.iter_mut())
-        {
-            *total += g;
-        }
-        answered += o.answered;
-        rejected += o.rejected;
-        queries += o.queries;
-        sq_err += o.sq_err;
-    }
-    let overspend = granted
+    let mut latencies: Vec<u64> = outcomes
         .iter()
-        .any(|&g| g > scfg.tenant_budget * (1.0 + 1e-9) + 1e-12);
-    let delta_overspend = granted_delta
-        .iter()
-        .any(|&g| g > scfg.tenant_delta * (1.0 + 1e-9) + 1e-18);
-    // Exact percentiles over the client-observed latencies (the
-    // server-side histogram can't see the front end's own delays —
-    // thread wakeups, harvest loops — which are the whole point here).
+        .flat_map(|o| o.latencies_us.iter().copied())
+        .collect();
     latencies.sort_unstable();
     let percentile = |q: f64| -> f64 {
         if latencies.is_empty() {
@@ -296,35 +183,10 @@ fn collect_stats(
         let idx = ((latencies.len() - 1) as f64 * q).ceil() as usize;
         latencies[idx] as f64 / 1e3
     };
-    let p50_latency_ms = percentile(0.50);
-    let p99_latency_ms = percentile(0.99);
-
     ServingRunStats {
-        mode,
-        wall_seconds,
-        answered,
-        rejected,
-        queries_answered: queries,
-        requests_per_second: answered as f64 / wall_seconds.max(1e-9),
-        queries_per_second: queries as f64 / wall_seconds.max(1e-9),
-        mean_squared_error: if queries > 0 {
-            sq_err / queries as f64
-        } else {
-            0.0
-        },
-        batches: report.metrics.batches,
-        coalesced_batches: report.metrics.coalesced_batches,
-        mean_occupancy: report.metrics.mean_occupancy,
-        max_occupancy: report.metrics.max_occupancy,
-        cache_misses: report.cache.misses,
-        cache_hits: report.cache.memory_hits,
-        peak_queue_depth: report.metrics.peak_queue_depth,
-        p50_latency_ms,
-        p99_latency_ms,
-        overspend,
-        delta_overspend,
-        cross_eps_batches: report.metrics.cross_eps_batches,
-        densifications: report.metrics.densifications,
+        p50_latency_ms: percentile(0.50),
+        p99_latency_ms: percentile(0.99),
+        ..collect_stats(mode, scfg, outcomes, report, wall_seconds)
     }
 }
 
@@ -336,7 +198,7 @@ fn collect_stats(
 /// threads, which is exactly what the comparison measures.
 pub fn run_blocking_mode(cfg: &EventedConfig, trace: &Trace) -> ServingRunStats {
     let scfg = &cfg.serving;
-    let server = build_server(scfg, trace, 1);
+    let server = build_server(scfg, trace, ServingMode::Coalescing, 1);
     let t0 = Instant::now();
     let (outcomes, report) = server.serve(|client| {
         std::thread::scope(|s| {
@@ -354,11 +216,11 @@ pub fn run_blocking_mode(cfg: &EventedConfig, trace: &Trace) -> ServingRunStats 
             handles
                 .into_iter()
                 .map(|h| h.join().expect("client thread"))
-                .collect::<Vec<DriverOutcome>>()
+                .collect::<Vec<ClientOutcome>>()
         })
     });
     let wall_seconds = t0.elapsed().as_secs_f64();
-    collect_stats("blocking", scfg, &outcomes, &report, wall_seconds)
+    client_observed_stats("blocking", scfg, &outcomes, &report, wall_seconds)
 }
 
 /// One blocking client: keep `burst` tickets outstanding, block on the
@@ -368,9 +230,9 @@ fn drive_blocking(
     client: &Client<'_>,
     requests: &[TraceRequest],
     cfg: &ServingConfig,
-) -> DriverOutcome {
+) -> ClientOutcome {
     let window = cfg.burst.max(1);
-    let mut out = DriverOutcome::for_tenants(cfg.tenants);
+    let mut out = ClientOutcome::for_tenants(cfg.tenants);
     let mut pending: VecDeque<(usize, Instant, Ticket)> = VecDeque::with_capacity(window);
     let mut next = 0usize;
     loop {
@@ -388,7 +250,7 @@ fn drive_blocking(
             break;
         };
         let outcome = ticket.wait();
-        out.record(&requests[index], outcome, start.elapsed());
+        out.record_timed(&requests[index], outcome, start.elapsed());
     }
     out
 }
@@ -397,7 +259,7 @@ fn drive_blocking(
 /// evented drivers.
 pub fn run_evented_mode(cfg: &EventedConfig, trace: &Trace) -> EventedRunStats {
     let scfg = &cfg.serving;
-    let server = build_server(scfg, trace, cfg.shards);
+    let server = build_server(scfg, trace, ServingMode::Coalescing, cfg.shards);
     let t0 = Instant::now();
     let (outcomes, report) = server.serve(|client| {
         std::thread::scope(|s| {
@@ -410,12 +272,12 @@ pub fn run_evented_mode(cfg: &EventedConfig, trace: &Trace) -> EventedRunStats {
             handles
                 .into_iter()
                 .map(|h| h.join().expect("driver thread"))
-                .collect::<Vec<DriverOutcome>>()
+                .collect::<Vec<ClientOutcome>>()
         })
     });
     let wall_seconds = t0.elapsed().as_secs_f64();
 
-    let stats = collect_stats("evented", scfg, &outcomes, &report, wall_seconds);
+    let stats = client_observed_stats("evented", scfg, &outcomes, &report, wall_seconds);
     EventedRunStats {
         stats,
         driver_threads: cfg.driver_threads,
@@ -440,7 +302,7 @@ fn drive_evented(
     cfg: &ServingConfig,
     driver: usize,
     drivers: usize,
-) -> DriverOutcome {
+) -> ClientOutcome {
     let vclients: Vec<&Vec<TraceRequest>> = trace
         .per_client
         .iter()
@@ -449,7 +311,7 @@ fn drive_evented(
         .collect();
     let burst = cfg.burst.max(1);
     let set = TicketSet::new();
-    let mut out = DriverOutcome::for_tenants(cfg.tenants);
+    let mut out = ClientOutcome::for_tenants(cfg.tenants);
     // Per-virtual-client cursor of the next request to submit, and the
     // submit-order log mapping tokens back to (client, request, clock).
     let mut next = vec![0usize; vclients.len()];
@@ -477,7 +339,7 @@ fn drive_evented(
     }
     while let Some((token, outcome)) = set.wait_any() {
         let (v, r, start) = submitted[token as usize];
-        out.record(&vclients[v][r], outcome, start.elapsed());
+        out.record_timed(&vclients[v][r], outcome, start.elapsed());
         if next[v] < vclients[v].len() {
             submit(v, &mut next, &mut submitted);
         }
@@ -538,109 +400,49 @@ impl EventedReport {
             && self.evented.max_shard_fraction() <= 0.6
     }
 
-    /// Serializes the report in the repo's `BENCH_*.json` style.
+    /// Serializes the report as one JSON document.
     pub fn to_json(&self, label: &str) -> String {
-        let scfg = &self.config.serving;
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema_version\": 1,");
-        let _ = writeln!(out, "  \"label\": \"{label}\",");
-        let eps_levels = scfg
-            .eps_levels
-            .iter()
-            .map(|e| e.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(
-            out,
-            "  \"config\": {{ \"buckets\": {}, \"cuts\": {}, \"tenants\": {}, \"clients\": {}, \"requests_per_client\": {}, \"spec_queries\": {}, \"window_ms\": {}, \"max_batch\": {}, \"workers\": {}, \"eps_levels\": [{}], \"tenant_budget\": {}, \"seed\": {}, \"shards\": {}, \"driver_threads\": {}, \"target_in_flight\": {} }},",
-            scfg.buckets,
-            scfg.cuts,
-            scfg.tenants,
-            scfg.clients,
-            scfg.requests_per_client,
-            scfg.spec_queries,
-            scfg.window.as_secs_f64() * 1e3,
-            scfg.max_batch,
-            scfg.workers,
-            eps_levels,
-            scfg.tenant_budget,
-            scfg.seed,
-            self.config.shards,
-            self.config.driver_threads,
-            self.config.target_in_flight,
-        );
-        let _ = writeln!(
-            out,
-            "  \"units\": {{ \"throughput\": \"granted requests (and queries) per second\", \"latency\": \"client-observed submit-to-completion milliseconds\", \"in_flight\": \"peak concurrently submitted-but-unanswered requests, measured server-side\" }},"
-        );
-        let _ = writeln!(out, "  \"runs\": [");
-        for (i, run) in [&self.blocking, &self.evented.stats]
-            .into_iter()
-            .enumerate()
-        {
-            let _ = writeln!(
-                out,
-                "    {{ \"mode\": \"{}\", \"wall_seconds\": {:.6}, \"answered\": {}, \"rejected\": {}, \"queries_answered\": {}, \"requests_per_second\": {:.3}, \"queries_per_second\": {:.3}, \"mean_squared_error\": {:.6e}, \"batches\": {}, \"coalesced_batches\": {}, \"mean_occupancy\": {:.3}, \"max_occupancy\": {}, \"cache_misses\": {}, \"cache_hits\": {}, \"peak_queue_depth\": {}, \"p50_latency_ms\": {:.3}, \"p99_latency_ms\": {:.3}, \"overspend\": {}, \"delta_overspend\": {}, \"densifications\": {} }}{}",
-                run.mode,
-                run.wall_seconds,
-                run.answered,
-                run.rejected,
-                run.queries_answered,
-                run.requests_per_second,
-                run.queries_per_second,
-                run.mean_squared_error,
-                run.batches,
-                run.coalesced_batches,
-                run.mean_occupancy,
-                run.max_occupancy,
-                run.cache_misses,
-                run.cache_hits,
-                run.peak_queue_depth,
-                run.p50_latency_ms,
-                run.p99_latency_ms,
-                run.overspend,
-                run.delta_overspend,
-                run.densifications,
-                if i == 0 { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let peaks = self
-            .evented
-            .shard_peak_depths
-            .iter()
-            .map(|p| p.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(
-            out,
-            "  \"evented\": {{ \"peak_in_flight\": {}, \"shard_peak_depths\": [{}], \"active_shards\": {}, \"max_shard_fraction\": {:.3}, \"stolen_batches\": {} }},",
-            self.evented.peak_in_flight(),
-            peaks,
-            self.evented.active_shards(),
-            self.evented.max_shard_fraction(),
-            self.evented.stolen_batches,
-        );
-        let _ = writeln!(
-            out,
-            "  \"comparison\": {{ \"throughput_gain\": {:.3}, \"p99_gain\": {:.3}, \"strictly_faster\": {}, \"strictly_lower_p99\": {}, \"passes_smoke\": {} }}",
-            self.throughput_gain(),
-            self.p99_gain(),
-            self.throughput_gain() > 1.0,
-            self.p99_gain() > 1.0,
-            self.passes_smoke(),
-        );
-        out.push('}');
-        out.push('\n');
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    pub fn write(&self, path: &Path, label: &str) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json(label))
+        let ev = &self.evented;
+        json::object(|o| {
+            o.field("schema_version", 1u64)
+                .str("label", label)
+                .object("config", |c| {
+                    self.config.serving.write_json(c);
+                    c.field("shards", self.config.shards)
+                        .field("driver_threads", self.config.driver_threads)
+                        .field("target_in_flight", self.config.target_in_flight);
+                })
+                .object("units", |u| {
+                    u.field("throughput", "granted requests (and queries) per second")
+                        .field("latency", "client-observed submit-to-completion milliseconds")
+                        .field(
+                            "in_flight",
+                            "peak concurrently submitted-but-unanswered requests, measured server-side",
+                        );
+                })
+                .array("runs", |a| {
+                    a.object(|r| self.blocking.write_json(r))
+                        .object(|r| ev.stats.write_json(r));
+                })
+                .object("evented", |e| {
+                    e.field("peak_in_flight", ev.peak_in_flight())
+                        .array("shard_peak_depths", |a| {
+                            for &depth in &ev.shard_peak_depths {
+                                a.value(depth);
+                            }
+                        })
+                        .field("active_shards", ev.active_shards())
+                        .field("max_shard_fraction", ev.max_shard_fraction())
+                        .field("stolen_batches", ev.stolen_batches);
+                })
+                .object("comparison", |c| {
+                    c.field("throughput_gain", self.throughput_gain())
+                        .field("p99_gain", self.p99_gain())
+                        .field("strictly_faster", self.throughput_gain() > 1.0)
+                        .field("strictly_lower_p99", self.p99_gain() > 1.0)
+                        .field("passes_smoke", self.passes_smoke());
+                });
+        })
     }
 }
 
@@ -667,26 +469,18 @@ pub fn run_evented_bench(cfg: &EventedConfig) -> EventedReport {
             "batches",
             "stolen",
         ]);
-        table.row(vec![
-            blocking.mode.to_string(),
-            format!("{:.3}", blocking.wall_seconds),
-            format!("{:.1}", blocking.requests_per_second),
-            format!("{:.1}", blocking.p50_latency_ms),
-            format!("{:.1}", blocking.p99_latency_ms),
-            blocking.peak_queue_depth.to_string(),
-            blocking.batches.to_string(),
-            "0".to_string(),
-        ]);
-        table.row(vec![
-            evented.stats.mode.to_string(),
-            format!("{:.3}", evented.stats.wall_seconds),
-            format!("{:.1}", evented.stats.requests_per_second),
-            format!("{:.1}", evented.stats.p50_latency_ms),
-            format!("{:.1}", evented.stats.p99_latency_ms),
-            evented.stats.peak_queue_depth.to_string(),
-            evented.stats.batches.to_string(),
-            evented.stolen_batches.to_string(),
-        ]);
+        for (run, stolen) in [(&blocking, 0), (&evented.stats, evented.stolen_batches)] {
+            table.row(vec![
+                run.mode.to_string(),
+                format!("{:.3}", run.wall_seconds),
+                format!("{:.1}", run.requests_per_second),
+                format!("{:.1}", run.p50_latency_ms),
+                format!("{:.1}", run.p99_latency_ms),
+                run.peak_queue_depth.to_string(),
+                run.batches.to_string(),
+                stolen.to_string(),
+            ]);
+        }
         println!("{}", table.render());
     }
 
@@ -700,6 +494,7 @@ pub fn run_evented_bench(cfg: &EventedConfig) -> EventedReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::serving::{json_reader, sample_run_stats};
 
     fn tiny() -> EventedConfig {
         EventedConfig {
@@ -753,8 +548,9 @@ mod tests {
         assert_eq!(report.evented.shard_peak_depths.len(), 4);
         assert!(report.evented.active_shards() >= 1);
         let json = report.to_json("test");
-        assert!(json.contains("\"mode\": \"blocking\""));
-        assert!(json.contains("\"mode\": \"evented\""));
+        json_reader::parse(&json);
+        assert!(json.contains("\"mode\":\"blocking\""));
+        assert!(json.contains("\"mode\":\"evented\""));
         assert!(json.contains("\"peak_in_flight\""));
         assert!(json.contains("\"throughput_gain\""));
     }
@@ -773,4 +569,34 @@ mod tests {
         }
         assert_eq!(seen, vec![1; trace.per_client.len()]);
     }
+
+    #[test]
+    fn report_json_is_exact() {
+        let mut evented = sample_run_stats("evented", 20.0);
+        evented.cross_eps_batches = 1;
+        evented.p99_latency_ms = 20.0;
+        let report = EventedReport {
+            config: tiny(),
+            blocking: sample_run_stats("blocking", 10.0),
+            evented: EventedRunStats {
+                stats: evented,
+                driver_threads: 2,
+                shards: 4,
+                stolen_batches: 1,
+                shard_peak_depths: vec![3, 3, 2, 0],
+            },
+        };
+        assert_eq!(report.to_json("front end"), GOLDEN);
+    }
+
+    const GOLDEN: &str = concat!(
+        r#"{"schema_version":1,"#,
+        r#""label":"front end","#,
+        r#""config":{"buckets":64,"cuts":8,"tenants":2,"clients":4,"requests_per_client":8,"burst":8,"spec_queries":4,"window_ms":20.0,"max_batch":4,"workers":2,"eps_request":0.25,"eps_levels":[],"noise_delta":0.0,"tenant_budget":10.0,"tenant_delta":0.0,"seed":20120827,"shards":4,"driver_threads":2,"target_in_flight":8},"#,
+        r#""units":{"throughput":"granted requests (and queries) per second","latency":"client-observed submit-to-completion milliseconds","in_flight":"peak concurrently submitted-but-unanswered requests, measured server-side"},"#,
+        r#""runs":[{"mode":"blocking","wall_seconds":2.5,"answered":10,"rejected":2,"queries_answered":40,"requests_per_second":10.0,"queries_per_second":40.0,"mean_squared_error":1250.5,"batches":4,"coalesced_batches":3,"cross_eps_batches":0,"mean_occupancy":2.5,"max_occupancy":4,"cache_misses":4,"cache_hits":0,"peak_queue_depth":8,"p50_latency_ms":12.25,"p99_latency_ms":40.0,"overspend":false,"delta_overspend":false,"densifications":0},"#,
+        r#"{"mode":"evented","wall_seconds":2.5,"answered":10,"rejected":2,"queries_answered":40,"requests_per_second":20.0,"queries_per_second":80.0,"mean_squared_error":1250.5,"batches":4,"coalesced_batches":3,"cross_eps_batches":1,"mean_occupancy":2.5,"max_occupancy":4,"cache_misses":4,"cache_hits":0,"peak_queue_depth":8,"p50_latency_ms":12.25,"p99_latency_ms":20.0,"overspend":false,"delta_overspend":false,"densifications":0}],"#,
+        r#""evented":{"peak_in_flight":8,"shard_peak_depths":[3,3,2,0],"active_shards":3,"max_shard_fraction":0.375,"stolen_batches":1},"#,
+        r#""comparison":{"throughput_gain":2.0,"p99_gain":2.0,"strictly_faster":true,"strictly_lower_p99":true,"passes_smoke":false}}"#,
+    );
 }

@@ -8,18 +8,17 @@
 //! an `m×n` materialization per compile. The sweep records compile
 //! wall-time and closed-form expected error for both paths and the
 //! operator densification counter around the structured compile, and
-//! serializes a `BENCH_*.json`-style report.
+//! serializes them as one JSON report.
 
 use crate::report::TableWriter;
 use lrm_core::decomposition::{DecompositionConfig, TargetRank};
 use lrm_core::engine::{CompileOptions, Engine, MechanismKind};
 use lrm_dp::rng::derive_rng;
 use lrm_linalg::operator::densification_count;
+use lrm_obs::json;
 use lrm_opt::{AlmSchedule, NesterovConfig};
 use lrm_workload::generators::{WPrefix, WRange, WRangeCoarse, WorkloadGenerator};
 use lrm_workload::Workload;
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::Instant;
 
 /// Which structured workload family to sweep.
@@ -128,60 +127,36 @@ pub struct ScalingReport {
 }
 
 impl ScalingReport {
-    /// Serializes the report in the repo's `BENCH_*.json` style.
+    /// Serializes the report as one JSON document; `dense_*` and
+    /// `speedup` are `null` above the dense cap.
     pub fn to_json(&self, label: &str) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema_version\": 1,");
-        let _ = writeln!(out, "  \"label\": \"{label}\",");
-        let _ = writeln!(out, "  \"family\": \"{}\",", self.family);
-        let _ = writeln!(out, "  \"queries\": {},", self.queries);
-        let _ = writeln!(out, "  \"reference_eps\": {},", self.reference_eps);
-        let _ = writeln!(
-            out,
-            "  \"units\": {{ \"seconds\": \"wall-clock per Engine::compile(Lrm)\", \"error\": \"expected avg squared error at reference_eps\" }},"
-        );
-        let _ = writeln!(out, "  \"points\": [");
-        for (i, p) in self.points.iter().enumerate() {
-            let dense_seconds = p
-                .dense_seconds
-                .map_or("null".to_string(), |s| format!("{s:.6}"));
-            let dense_error = p
-                .dense_error
-                .map_or("null".to_string(), |e| format!("{e:.6e}"));
-            let speedup = match p.dense_seconds {
-                Some(d) if p.structured_seconds > 0.0 => {
-                    format!("{:.3}", d / p.structured_seconds)
-                }
-                _ => "null".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "    {{ \"n\": {}, \"m\": {}, \"structure\": \"{}\", \"structured_seconds\": {:.6}, \"structured_error\": {:.6e}, \"structured_rank\": {}, \"densifications\": {}, \"dense_seconds\": {}, \"dense_error\": {}, \"speedup\": {} }}{}",
-                p.n,
-                p.m,
-                p.structure,
-                p.structured_seconds,
-                p.structured_error,
-                p.structured_rank,
-                p.densifications,
-                dense_seconds,
-                dense_error,
-                speedup,
-                if i + 1 < self.points.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ]");
-        out.push('}');
-        out.push('\n');
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    pub fn write(&self, path: &Path, label: &str) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json(label))
+        json::object(|o| {
+            o.field("schema_version", 1u64)
+                .str("label", label)
+                .field("family", self.family)
+                .field("queries", self.queries)
+                .field("reference_eps", self.reference_eps)
+                .object("units", |u| {
+                    u.field("seconds", "wall-clock per Engine::compile(Lrm)")
+                        .field("error", "expected avg squared error at reference_eps");
+                })
+                .array("points", |a| {
+                    for p in &self.points {
+                        a.object(|o| {
+                            o.field("n", p.n)
+                                .field("m", p.m)
+                                .field("structure", p.structure)
+                                .field("structured_seconds", p.structured_seconds)
+                                .field("structured_error", p.structured_error)
+                                .field("structured_rank", p.structured_rank)
+                                .field("densifications", p.densifications)
+                                .opt("dense_seconds", p.dense_seconds)
+                                .opt("dense_error", p.dense_error)
+                                .opt("speedup", p.dense_seconds.map(|d| d / p.structured_seconds));
+                        });
+                    }
+                });
+        })
     }
 
     /// Whether the structured path beat the dense path at every point with
@@ -349,7 +324,7 @@ mod tests {
         }
         let json = report.to_json("test");
         assert!(json.contains("\"points\""));
-        assert!(json.contains("\"structure\": \"intervals\""));
+        assert!(json.contains("\"structure\":\"intervals\""));
         // Dense path skipped above the cap.
         let capped = run_scaling_sweep(&ScalingConfig {
             domain_sizes: vec![128],
@@ -359,7 +334,7 @@ mod tests {
             ..ScalingConfig::default()
         });
         assert!(capped.points[0].dense_seconds.is_none());
-        assert!(capped.to_json("x").contains("\"dense_seconds\": null"));
+        assert!(capped.to_json("x").contains("\"dense_seconds\":null"));
     }
 
     #[test]
@@ -405,4 +380,39 @@ mod tests {
         assert_eq!(report.family, "WRange");
         assert_eq!(report.points[0].structure, "intervals");
     }
+
+    #[test]
+    fn report_json_is_exact() {
+        let point = |n: usize, d: Option<f64>| ScalingPoint {
+            n,
+            m: 8,
+            structure: "intervals",
+            structured_seconds: 0.5,
+            structured_error: 12.5,
+            structured_rank: 3,
+            densifications: 0,
+            dense_seconds: d,
+            dense_error: d.map(|_| 12.0),
+        };
+        let mut report = ScalingReport {
+            family: "WPrefix",
+            queries: 8,
+            reference_eps: 1.0,
+            points: vec![point(64, Some(1.5)), point(128, None)],
+        };
+        // A non-finite measurement serializes as null, not as `NaN`.
+        report.points[1].structured_error = f64::NAN;
+        assert_eq!(report.to_json("sweep \"x\""), GOLDEN);
+    }
+
+    const GOLDEN: &str = concat!(
+        r#"{"schema_version":1,"#,
+        r#""label":"sweep \"x\"","#,
+        r#""family":"WPrefix","#,
+        r#""queries":8,"#,
+        r#""reference_eps":1.0,"#,
+        r#""units":{"seconds":"wall-clock per Engine::compile(Lrm)","error":"expected avg squared error at reference_eps"},"#,
+        r#""points":[{"n":64,"m":8,"structure":"intervals","structured_seconds":0.5,"structured_error":12.5,"structured_rank":3,"densifications":0,"dense_seconds":1.5,"dense_error":12.0,"speedup":3.0},"#,
+        r#"{"n":128,"m":8,"structure":"intervals","structured_seconds":0.5,"structured_error":null,"structured_rank":3,"densifications":0,"dense_seconds":null,"dense_error":null,"speedup":null}]}"#,
+    );
 }

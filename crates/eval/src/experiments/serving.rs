@@ -12,26 +12,25 @@
 //! request alone. Throughput, per-query error against the exact answers,
 //! ledger over-spend (from the grants each client actually observed, not
 //! the clamped ledger counter), and the server's compile densification
-//! count are all recorded into a `BENCH_5.json`-style report.
+//! count are all recorded into one JSON report (`BENCH_5.json`).
 //!
 //! The same machinery also drives the **approximate-DP** comparison (see
 //! [`crate::experiments::gaussian`]): with a positive
 //! [`ServingConfig::noise_delta`] every release is (ε, δ)-DP through the
 //! Gaussian calibration, requests draw their ε from
 //! [`ServingConfig::eps_levels`] round-robin,
-//! and [`ServingMode::Fragmented`] gives the ε-keyed scheduler baseline
-//! that cross-ε coalescing is measured against.
+//! and the reference run is [`ServingMode::Fragmented`], the ε-keyed
+//! scheduler that cross-ε coalescing is measured against.
 
 use crate::experiments::scaling::scaling_lrm_config;
 use crate::report::TableWriter;
 use lrm_core::engine::{CompileOptions, Engine, MechanismKind, NoiseFlavor};
 use lrm_dp::rng::derive_rng;
 use lrm_dp::{Budget, Epsilon};
-use lrm_server::{QuerySpec, Server, ServerError};
+use lrm_obs::json::{self, Object};
+use lrm_server::{QuerySpec, Server, ServerError, ServerReport};
 use lrm_workload::{Attribute, Schema};
 use rand::Rng;
-use std::fmt::Write as _;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// Load-harness configuration.
@@ -167,6 +166,41 @@ impl ServingConfig {
 
     pub(crate) fn tenant_name(t: usize) -> String {
         format!("tenant{t:02}")
+    }
+
+    /// The run the coalescing scheduler is measured against: the
+    /// ε-keyed scheduler on a Gaussian configuration (the question there
+    /// is what cross-ε coalescing buys), per-query serving otherwise.
+    pub fn reference_mode(&self) -> ServingMode {
+        if self.is_gaussian() {
+            ServingMode::Fragmented
+        } else {
+            ServingMode::Baseline
+        }
+    }
+
+    /// The configuration echo of a report.
+    pub(crate) fn write_json(&self, o: &mut Object<'_>) {
+        o.field("buckets", self.buckets)
+            .field("cuts", self.cuts)
+            .field("tenants", self.tenants)
+            .field("clients", self.clients)
+            .field("requests_per_client", self.requests_per_client)
+            .field("burst", self.burst)
+            .field("spec_queries", self.spec_queries)
+            .field("window_ms", self.window.as_secs_f64() * 1e3)
+            .field("max_batch", self.max_batch)
+            .field("workers", self.workers)
+            .field("eps_request", self.eps_request)
+            .array("eps_levels", |a| {
+                for &eps in &self.eps_levels {
+                    a.value(eps);
+                }
+            })
+            .field("noise_delta", self.noise_delta)
+            .field("tenant_budget", self.tenant_budget)
+            .field("tenant_delta", self.tenant_delta)
+            .field("seed", self.seed);
     }
 }
 
@@ -342,19 +376,110 @@ pub struct ServingRunStats {
     pub densifications: u64,
 }
 
+impl ServingRunStats {
+    /// One `runs` row of a report.
+    pub(crate) fn write_json(&self, o: &mut Object<'_>) {
+        o.field("mode", self.mode)
+            .field("wall_seconds", self.wall_seconds)
+            .field("answered", self.answered)
+            .field("rejected", self.rejected)
+            .field("queries_answered", self.queries_answered)
+            .field("requests_per_second", self.requests_per_second)
+            .field("queries_per_second", self.queries_per_second)
+            .field("mean_squared_error", self.mean_squared_error)
+            .field("batches", self.batches)
+            .field("coalesced_batches", self.coalesced_batches)
+            .field("cross_eps_batches", self.cross_eps_batches)
+            .field("mean_occupancy", self.mean_occupancy)
+            .field("max_occupancy", self.max_occupancy)
+            .field("cache_misses", self.cache_misses)
+            .field("cache_hits", self.cache_hits)
+            .field("peak_queue_depth", self.peak_queue_depth)
+            .field("p50_latency_ms", self.p50_latency_ms)
+            .field("p99_latency_ms", self.p99_latency_ms)
+            .field("overspend", self.overspend)
+            .field("delta_overspend", self.delta_overspend)
+            .field("densifications", self.densifications);
+    }
+}
+
 /// Per-thread accumulation while driving the trace.
 #[derive(Debug, Default, Clone)]
-struct ClientOutcome {
+pub(crate) struct ClientOutcome {
     granted_per_tenant: Vec<f64>,
     granted_delta_per_tenant: Vec<f64>,
     answered: u64,
     rejected: u64,
     queries: u64,
     sq_err: f64,
+    /// Client-observed submit-to-completion latency of every granted
+    /// request, in microseconds, for drivers that time their requests
+    /// (see [`ClientOutcome::record_timed`]).
+    pub(crate) latencies_us: Vec<u64>,
 }
 
-/// Replays the trace against one server configuration.
-pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -> ServingRunStats {
+impl ClientOutcome {
+    pub(crate) fn for_tenants(tenants: usize) -> Self {
+        ClientOutcome {
+            granted_per_tenant: vec![0.0; tenants],
+            granted_delta_per_tenant: vec![0.0; tenants],
+            ..ClientOutcome::default()
+        }
+    }
+
+    /// Folds one completion into the tallies; the latency, from just
+    /// before the submit call to the driver observing the completion, is
+    /// kept for a granted request.
+    pub(crate) fn record_timed(
+        &mut self,
+        req: &TraceRequest,
+        outcome: Result<lrm_server::Release, ServerError>,
+        latency: Duration,
+    ) {
+        if self.record(req, outcome) {
+            self.latencies_us.push(latency.as_micros() as u64);
+        }
+    }
+
+    /// Folds one completion into the tallies; returns whether it was
+    /// granted.
+    fn record(
+        &mut self,
+        req: &TraceRequest,
+        outcome: Result<lrm_server::Release, ServerError>,
+    ) -> bool {
+        match outcome {
+            Ok(release) => {
+                self.granted_per_tenant[req.tenant] += release.eps_spent.value();
+                self.granted_delta_per_tenant[req.tenant] += release.delta_spent;
+                self.answered += 1;
+                self.queries += release.answers.len() as u64;
+                self.sq_err += release
+                    .answers
+                    .iter()
+                    .zip(&req.exact)
+                    .map(|(a, e)| (a - e) * (a - e))
+                    .sum::<f64>();
+                true
+            }
+            Err(ServerError::Admission(_)) => {
+                self.rejected += 1;
+                false
+            }
+            Err(e) => panic!("unexpected serving failure: {e}"),
+        }
+    }
+}
+
+/// Builds one run's server over the trace for `mode` with `shards`
+/// scheduler shards, and registers every tenant. Each run gets a fresh
+/// engine, so every run starts with a cold strategy cache.
+pub(crate) fn build_server(
+    cfg: &ServingConfig,
+    trace: &Trace,
+    mode: ServingMode,
+    shards: usize,
+) -> Server {
     let (window, max_batch) = match mode {
         ServingMode::Coalescing | ServingMode::Fragmented => (cfg.window, cfg.max_batch),
         ServingMode::Baseline => (Duration::ZERO, 1),
@@ -363,7 +488,6 @@ pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -
     if cfg.is_gaussian() {
         options.flavor = NoiseFlavor::ApproxDp;
     }
-    // A fresh engine per run: all modes start with a cold strategy cache.
     let server = Server::builder(trace.schema.clone(), trace.data.clone())
         .engine(Engine::builder().build())
         .mechanism(MechanismKind::Lrm)
@@ -373,6 +497,7 @@ pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -
         .workers(cfg.workers)
         .coalesce_across_eps(mode != ServingMode::Fragmented)
         .rank_close(cfg.rank_close)
+        .shards(shards)
         .seed(cfg.seed)
         .build()
         .expect("valid server configuration");
@@ -385,33 +510,23 @@ pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -
     for t in 0..cfg.tenants {
         server.register_tenant_budget(&ServingConfig::tenant_name(t), budget);
     }
+    server
+}
 
-    let t0 = Instant::now();
-    let (outcomes, report) = server.serve(|client| {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = trace
-                .per_client
-                .iter()
-                .map(|requests| {
-                    let client = client.clone();
-                    s.spawn(move || drive_client(&client, requests, cfg))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread"))
-                .collect::<Vec<ClientOutcome>>()
-        })
-    });
-    let wall_seconds = t0.elapsed().as_secs_f64();
-
+/// Folds the client outcomes and the server report of one run into its
+/// stats, checking the observed grants against the registered budgets.
+/// Latency percentiles are the server's submit→response histogram.
+pub(crate) fn collect_stats(
+    mode: &'static str,
+    cfg: &ServingConfig,
+    outcomes: &[ClientOutcome],
+    report: &ServerReport,
+    wall_seconds: f64,
+) -> ServingRunStats {
     let mut granted = vec![0.0f64; cfg.tenants];
     let mut granted_delta = vec![0.0f64; cfg.tenants];
-    let mut answered = 0u64;
-    let mut rejected = 0u64;
-    let mut queries = 0u64;
-    let mut sq_err = 0.0f64;
-    for o in &outcomes {
+    let (mut answered, mut rejected, mut queries, mut sq_err) = (0u64, 0u64, 0u64, 0.0f64);
+    for o in outcomes {
         for (g, total) in o.granted_per_tenant.iter().zip(granted.iter_mut()) {
             *total += g;
         }
@@ -435,7 +550,7 @@ pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -
         .any(|&g| g > cfg.tenant_delta * (1.0 + 1e-9) + 1e-18);
 
     ServingRunStats {
-        mode: mode.label(),
+        mode,
         wall_seconds,
         answered,
         rejected,
@@ -463,6 +578,30 @@ pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -
     }
 }
 
+/// Replays the trace against one server configuration.
+pub fn run_serving_mode(cfg: &ServingConfig, trace: &Trace, mode: ServingMode) -> ServingRunStats {
+    let server = build_server(cfg, trace, mode, 1);
+    let t0 = Instant::now();
+    let (outcomes, report) = server.serve(|client| {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = trace
+                .per_client
+                .iter()
+                .map(|requests| {
+                    let client = client.clone();
+                    s.spawn(move || drive_client(&client, requests, cfg))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("client thread"))
+                .collect::<Vec<ClientOutcome>>()
+        })
+    });
+    let wall_seconds = t0.elapsed().as_secs_f64();
+    collect_stats(mode.label(), cfg, &outcomes, &report, wall_seconds)
+}
+
 /// One client thread: submit in bursts, wait the burst out, accumulate
 /// grants and errors.
 fn drive_client(
@@ -470,11 +609,7 @@ fn drive_client(
     requests: &[TraceRequest],
     cfg: &ServingConfig,
 ) -> ClientOutcome {
-    let mut out = ClientOutcome {
-        granted_per_tenant: vec![0.0; cfg.tenants],
-        granted_delta_per_tenant: vec![0.0; cfg.tenants],
-        ..ClientOutcome::default()
-    };
+    let mut out = ClientOutcome::for_tenants(cfg.tenants);
     for chunk in requests.chunks(cfg.burst.max(1)) {
         let tickets: Vec<_> = chunk
             .iter()
@@ -486,40 +621,27 @@ fn drive_client(
             })
             .collect();
         for (req, ticket) in chunk.iter().zip(tickets) {
-            match ticket.wait() {
-                Ok(release) => {
-                    out.granted_per_tenant[req.tenant] += release.eps_spent.value();
-                    out.granted_delta_per_tenant[req.tenant] += release.delta_spent;
-                    out.answered += 1;
-                    out.queries += release.answers.len() as u64;
-                    out.sq_err += release
-                        .answers
-                        .iter()
-                        .zip(&req.exact)
-                        .map(|(a, e)| (a - e) * (a - e))
-                        .sum::<f64>();
-                }
-                Err(ServerError::Admission(_)) => out.rejected += 1,
-                Err(e) => panic!("unexpected serving failure: {e}"),
-            }
+            out.record(req, ticket.wait());
         }
     }
     out
 }
 
-/// The two-run comparison the `load_sim` binary reports.
+/// The two-run comparison the `load_sim` binary reports: the coalescing
+/// run against [`ServingConfig::reference_mode`] on the same trace.
 #[derive(Debug, Clone)]
 pub struct ServingReport {
     /// Configuration echo for the report.
     pub config: ServingConfig,
-    /// The coalescing run.
+    /// The coalescing run (cross-ε on a Gaussian configuration).
     pub coalesced: ServingRunStats,
-    /// The per-query baseline run.
+    /// The reference run: per-query serving, or the ε-fragmented
+    /// scheduler on a Gaussian configuration.
     pub baseline: ServingRunStats,
 }
 
 impl ServingReport {
-    /// Coalescing throughput over baseline throughput (granted requests
+    /// Coalescing throughput over reference throughput (granted requests
     /// per second).
     pub fn speedup(&self) -> f64 {
         self.coalesced.requests_per_second / self.baseline.requests_per_second.max(1e-12)
@@ -531,110 +653,100 @@ impl ServingReport {
         self.baseline.mean_squared_error / self.coalesced.mean_squared_error.max(1e-300)
     }
 
-    /// The acceptance gate: strictly higher coalescing throughput, zero
-    /// over-spend, zero densifications, and the coalescer actually
-    /// coalesced.
+    /// Every acceptance-gate condition that failed, one message each:
+    /// strictly higher coalescing throughput, zero ε or δ over-spend,
+    /// zero densifications, and the coalescer actually coalesced — on a
+    /// Gaussian configuration also across ε, which the ε-fragmented
+    /// reference must never do.
+    pub fn smoke_failures(&self) -> Vec<String> {
+        let (co, re) = (&self.coalesced, &self.baseline);
+        let mut failures = Vec::new();
+        if self.speedup() <= 1.0 {
+            failures.push(format!(
+                "coalescing throughput {:.1} req/s is not strictly above the {} run's {:.1} req/s",
+                co.requests_per_second, re.mode, re.requests_per_second
+            ));
+        }
+        if co.overspend || re.overspend {
+            failures.push("a tenant was granted more ε than it registered".into());
+        }
+        if co.delta_overspend || re.delta_overspend {
+            failures.push("a tenant was granted more δ than it registered".into());
+        }
+        if co.densifications + re.densifications != 0 {
+            failures.push("the serving path densified a structured workload".into());
+        }
+        if co.coalesced_batches == 0 {
+            failures.push("the coalescing run never coalesced a batch".into());
+        }
+        if self.config.is_gaussian() && co.cross_eps_batches == 0 {
+            failures.push("the cross-ε run never mixed ε levels in a batch".into());
+        }
+        if self.config.is_gaussian() && re.cross_eps_batches != 0 {
+            failures.push("the ε-fragmented run mixed ε levels in a batch".into());
+        }
+        failures
+    }
+
+    /// The acceptance gate: no [`smoke_failures`](Self::smoke_failures).
     pub fn passes_smoke(&self) -> bool {
-        self.speedup() > 1.0
-            && !self.coalesced.overspend
-            && !self.baseline.overspend
-            && !self.coalesced.delta_overspend
-            && !self.baseline.delta_overspend
-            && self.coalesced.densifications == 0
-            && self.baseline.densifications == 0
-            && self.coalesced.coalesced_batches > 0
+        self.smoke_failures().is_empty()
     }
 
-    /// Serializes the report in the repo's `BENCH_*.json` style.
+    /// Serializes the report as one JSON document.
     pub fn to_json(&self, label: &str) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema_version\": 1,");
-        let _ = writeln!(out, "  \"label\": \"{label}\",");
-        let _ = writeln!(
-            out,
-            "  \"config\": {{ \"buckets\": {}, \"cuts\": {}, \"tenants\": {}, \"clients\": {}, \"requests_per_client\": {}, \"burst\": {}, \"spec_queries\": {}, \"window_ms\": {}, \"max_batch\": {}, \"workers\": {}, \"eps_request\": {}, \"tenant_budget\": {}, \"seed\": {} }},",
-            self.config.buckets,
-            self.config.cuts,
-            self.config.tenants,
-            self.config.clients,
-            self.config.requests_per_client,
-            self.config.burst,
-            self.config.spec_queries,
-            self.config.window.as_secs_f64() * 1e3,
-            self.config.max_batch,
-            self.config.workers,
-            self.config.eps_request,
-            self.config.tenant_budget,
-            self.config.seed,
-        );
-        let _ = writeln!(
-            out,
-            "  \"units\": {{ \"throughput\": \"granted requests (and queries) per second\", \"error\": \"mean squared per-query error vs exact answers at eps_request\" }},"
-        );
-        let _ = writeln!(out, "  \"runs\": [");
-        for (i, run) in [&self.coalesced, &self.baseline].into_iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{ \"mode\": \"{}\", \"wall_seconds\": {:.6}, \"answered\": {}, \"rejected\": {}, \"queries_answered\": {}, \"requests_per_second\": {:.3}, \"queries_per_second\": {:.3}, \"mean_squared_error\": {:.6e}, \"batches\": {}, \"coalesced_batches\": {}, \"cross_eps_batches\": {}, \"mean_occupancy\": {:.3}, \"max_occupancy\": {}, \"cache_misses\": {}, \"cache_hits\": {}, \"peak_queue_depth\": {}, \"p50_latency_ms\": {:.3}, \"p99_latency_ms\": {:.3}, \"overspend\": {}, \"delta_overspend\": {}, \"densifications\": {} }}{}",
-                run.mode,
-                run.wall_seconds,
-                run.answered,
-                run.rejected,
-                run.queries_answered,
-                run.requests_per_second,
-                run.queries_per_second,
-                run.mean_squared_error,
-                run.batches,
-                run.coalesced_batches,
-                run.cross_eps_batches,
-                run.mean_occupancy,
-                run.max_occupancy,
-                run.cache_misses,
-                run.cache_hits,
-                run.peak_queue_depth,
-                run.p50_latency_ms,
-                run.p99_latency_ms,
-                run.overspend,
-                run.delta_overspend,
-                run.densifications,
-                if i == 0 { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(
-            out,
-            "  \"comparison\": {{ \"throughput_speedup\": {:.3}, \"error_ratio_baseline_over_coalesced\": {:.3}, \"strictly_faster\": {}, \"passes_smoke\": {} }}",
-            self.speedup(),
-            self.error_ratio(),
-            self.speedup() > 1.0,
-            self.passes_smoke(),
-        );
-        out.push('}');
-        out.push('\n');
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    pub fn write(&self, path: &Path, label: &str) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json(label))
+        let (throughput, error) = if self.config.is_gaussian() {
+            (
+                "granted (eps, delta) releases per second",
+                "mean squared per-query error vs exact answers at each release's own budget",
+            )
+        } else {
+            (
+                "granted requests (and queries) per second",
+                "mean squared per-query error vs exact answers at eps_request",
+            )
+        };
+        json::object(|o| {
+            o.field("schema_version", 1u64)
+                .str("label", label)
+                .object("config", |c| self.config.write_json(c))
+                .object("units", |u| {
+                    u.field("throughput", throughput).field("error", error);
+                })
+                .array("runs", |a| {
+                    a.object(|r| self.coalesced.write_json(r))
+                        .object(|r| self.baseline.write_json(r));
+                })
+                .object("comparison", |c| {
+                    c.field("throughput_speedup", self.speedup())
+                        .field("error_ratio_baseline_over_coalesced", self.error_ratio())
+                        .field("strictly_faster", self.speedup() > 1.0)
+                        .field("cross_eps_batches", self.coalesced.cross_eps_batches)
+                        .field("passes_smoke", self.passes_smoke());
+                });
+        })
     }
 }
 
 /// Runs the full comparison: the same trace through the coalescing server
-/// and the per-query baseline.
+/// and the [reference run](ServingConfig::reference_mode).
 pub fn run_serving_bench(cfg: &ServingConfig) -> ServingReport {
     let trace = build_trace(cfg);
     let coalesced = run_serving_mode(cfg, &trace, ServingMode::Coalescing);
-    let baseline = run_serving_mode(cfg, &trace, ServingMode::Baseline);
+    let baseline = run_serving_mode(cfg, &trace, cfg.reference_mode());
 
     if !cfg.quiet {
-        let mut table = TableWriter::new(format!(
-            "Serving load harness — {} clients × {} requests, {} tenants, ε = {} per release",
-            cfg.clients, cfg.requests_per_client, cfg.tenants, cfg.eps_request
-        ));
+        let mut table = TableWriter::new(if cfg.is_gaussian() {
+            format!(
+                "Gaussian cross-ε coalescing — {} clients × {} requests, {} tenants, ε ∈ {{{:?}}}, δ = {:e}",
+                cfg.clients, cfg.requests_per_client, cfg.tenants, cfg.eps_levels, cfg.noise_delta
+            )
+        } else {
+            format!(
+                "Serving load harness — {} clients × {} requests, {} tenants, ε = {} per release",
+                cfg.clients, cfg.requests_per_client, cfg.tenants, cfg.eps_request
+            )
+        });
         table.header(&[
             "mode",
             "wall s",
@@ -642,6 +754,7 @@ pub fn run_serving_bench(cfg: &ServingConfig) -> ServingReport {
             "mse",
             "batches",
             "coalesced",
+            "cross-ε",
             "occupancy",
             "p99 ms",
         ]);
@@ -653,6 +766,7 @@ pub fn run_serving_bench(cfg: &ServingConfig) -> ServingReport {
                 format!("{:.3e}", run.mean_squared_error),
                 run.batches.to_string(),
                 run.coalesced_batches.to_string(),
+                run.cross_eps_batches.to_string(),
                 format!("{:.2}", run.mean_occupancy),
                 format!("{:.1}", run.p99_latency_ms),
             ]);
@@ -664,6 +778,152 @@ pub fn run_serving_bench(cfg: &ServingConfig) -> ServingReport {
         config: cfg.clone(),
         coalesced,
         baseline,
+    }
+}
+
+/// A hand-made run row for the report tests (no serving run needed).
+#[cfg(test)]
+pub(crate) fn sample_run_stats(mode: &'static str, requests_per_second: f64) -> ServingRunStats {
+    ServingRunStats {
+        mode,
+        wall_seconds: 2.5,
+        answered: 10,
+        rejected: 2,
+        queries_answered: 40,
+        requests_per_second,
+        queries_per_second: 4.0 * requests_per_second,
+        mean_squared_error: 1250.5,
+        batches: 4,
+        coalesced_batches: 3,
+        mean_occupancy: 2.5,
+        max_occupancy: 4,
+        cache_misses: 4,
+        cache_hits: 0,
+        peak_queue_depth: 8,
+        p50_latency_ms: 12.25,
+        p99_latency_ms: 40.0,
+        overspend: false,
+        delta_overspend: false,
+        cross_eps_batches: 0,
+        densifications: 0,
+    }
+}
+
+/// A minimal JSON reader for the report tests: the workspace writes JSON
+/// but has no parser, and these tests must prove a document is valid
+/// and that its strings round-trip.
+#[cfg(test)]
+pub(crate) mod json_reader {
+    /// A parsed JSON value.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum J {
+        Null,
+        Bool(bool),
+        Num(f64),
+        Str(String),
+        Arr(Vec<J>),
+        Obj(Vec<(String, J)>),
+    }
+
+    impl J {
+        /// The member `key` of an object.
+        pub fn get(&self, key: &str) -> &J {
+            match self {
+                J::Obj(members) => &members.iter().find(|(k, _)| k == key).expect(key).1,
+                other => panic!("not an object: {other:?}"),
+            }
+        }
+    }
+
+    /// Parses one complete document; panics on anything that is not JSON.
+    pub fn parse(doc: &str) -> J {
+        let (v, rest) = value(doc);
+        assert!(rest.trim().is_empty(), "trailing input: {rest:?}");
+        v
+    }
+
+    fn value(s: &str) -> (J, &str) {
+        let s = s.trim_start();
+        match s.chars().next().expect("a value") {
+            '{' => {
+                let mut members = Vec::new();
+                let mut s = s[1..].trim_start();
+                if let Some(rest) = s.strip_prefix('}') {
+                    return (J::Obj(members), rest);
+                }
+                loop {
+                    let (k, rest) = string(s.trim_start());
+                    let rest = rest.trim_start().strip_prefix(':').expect("a ':'");
+                    let (v, rest) = value(rest);
+                    members.push((k, v));
+                    let rest = rest.trim_start();
+                    match rest.strip_prefix(',') {
+                        Some(next) => s = next,
+                        None => return (J::Obj(members), rest.strip_prefix('}').expect("a '}'")),
+                    }
+                }
+            }
+            '[' => {
+                let mut items = Vec::new();
+                let mut s = s[1..].trim_start();
+                if let Some(rest) = s.strip_prefix(']') {
+                    return (J::Arr(items), rest);
+                }
+                loop {
+                    let (v, rest) = value(s);
+                    items.push(v);
+                    let rest = rest.trim_start();
+                    match rest.strip_prefix(',') {
+                        Some(next) => s = next,
+                        None => return (J::Arr(items), rest.strip_prefix(']').expect("a ']'")),
+                    }
+                }
+            }
+            '"' => {
+                let (st, rest) = string(s);
+                (J::Str(st), rest)
+            }
+            't' => (J::Bool(true), s.strip_prefix("true").expect("true")),
+            'f' => (J::Bool(false), s.strip_prefix("false").expect("false")),
+            'n' => (J::Null, s.strip_prefix("null").expect("null")),
+            _ => {
+                let end = s
+                    .find(|c: char| !matches!(c, '-' | '+' | '.' | 'e' | 'E' | '0'..='9'))
+                    .unwrap_or(s.len());
+                let n = s[..end]
+                    .parse()
+                    .unwrap_or_else(|_| panic!("bad number {s:?}"));
+                (J::Num(n), &s[end..])
+            }
+        }
+    }
+
+    fn string(s: &str) -> (String, &str) {
+        let body = s.strip_prefix('"').expect("a string");
+        let mut out = String::new();
+        let mut chars = body.char_indices();
+        while let Some((i, c)) = chars.next() {
+            match c {
+                '"' => return (out, &body[i + 1..]),
+                '\\' => match chars.next().expect("an escape").1 {
+                    '"' => out.push('"'),
+                    '\\' => out.push('\\'),
+                    '/' => out.push('/'),
+                    'n' => out.push('\n'),
+                    'r' => out.push('\r'),
+                    't' => out.push('\t'),
+                    'u' => {
+                        let hex: String = (0..4).map(|_| chars.next().expect("hex").1).collect();
+                        let code = u32::from_str_radix(&hex, 16).expect("hex digits");
+                        out.push(char::from_u32(code).expect("a scalar value"));
+                    }
+                    other => panic!("bad escape \\{other}"),
+                },
+                c if (c as u32) < 0x20 => panic!("raw control character in a string"),
+                c => out.push(c),
+            }
+        }
+        panic!("unterminated string")
     }
 }
 
@@ -737,9 +997,90 @@ mod tests {
         assert!(report.coalesced.mean_squared_error > 0.0);
 
         let json = report.to_json("test");
+        json_reader::parse(&json);
         assert!(json.contains("\"runs\""));
         assert!(json.contains("\"throughput_speedup\""));
-        assert!(json.contains("\"mode\": \"coalescing\""));
-        assert!(json.contains("\"mode\": \"per-query baseline\""));
+        assert!(json.contains("\"mode\":\"coalescing\""));
+        assert!(json.contains("\"mode\":\"per-query baseline\""));
     }
+
+    fn sample_report(config: ServingConfig) -> ServingReport {
+        ServingReport {
+            config,
+            coalesced: sample_run_stats("coalescing", 8.0),
+            baseline: sample_run_stats("per-query baseline", 4.0),
+        }
+    }
+
+    #[test]
+    fn report_json_is_exact() {
+        let cfg = ServingConfig {
+            buckets: 64,
+            cuts: 8,
+            tenants: 2,
+            clients: 2,
+            requests_per_client: 8,
+            ..ServingConfig::default()
+        };
+        assert_eq!(sample_report(cfg).to_json("pure"), GOLDEN_PURE);
+        let gaussian = ServingConfig {
+            eps_levels: vec![0.1, 0.25],
+            noise_delta: 1e-6,
+            tenant_delta: 1e-4,
+            ..ServingConfig::smoke()
+        };
+        let mut report = sample_report(gaussian);
+        report.coalesced.cross_eps_batches = 2;
+        report.baseline.mode = ServingMode::Fragmented.label();
+        assert_eq!(report.to_json("gaussian"), GOLDEN_GAUSSIAN);
+    }
+
+    #[test]
+    fn labels_with_quotes_backslashes_and_newlines_round_trip() {
+        let label = "say \"hi\" to C:\\tmp\nthen\tleave";
+        let doc = sample_report(ServingConfig::smoke()).to_json(label);
+        let parsed = json_reader::parse(&doc);
+        assert_eq!(parsed.get("label"), &json_reader::J::Str(label.to_string()));
+    }
+
+    #[test]
+    fn non_finite_fields_serialize_as_null() {
+        let mut report = sample_report(ServingConfig::smoke());
+        report.coalesced.mean_squared_error = f64::NAN;
+        report.baseline.mean_squared_error = f64::INFINITY;
+        report.baseline.p99_latency_ms = f64::NEG_INFINITY;
+        let parsed = json_reader::parse(&report.to_json("nan"));
+        let json_reader::J::Arr(runs) = parsed.get("runs") else {
+            panic!("runs is an array");
+        };
+        assert_eq!(runs[0].get("mean_squared_error"), &json_reader::J::Null);
+        assert_eq!(runs[1].get("mean_squared_error"), &json_reader::J::Null);
+        assert_eq!(runs[1].get("p99_latency_ms"), &json_reader::J::Null);
+        // The error ratio has the infinite error on top, so it is null too.
+        assert_eq!(
+            parsed
+                .get("comparison")
+                .get("error_ratio_baseline_over_coalesced"),
+            &json_reader::J::Null
+        );
+    }
+
+    const GOLDEN_PURE: &str = concat!(
+        r#"{"schema_version":1,"#,
+        r#""label":"pure","#,
+        r#""config":{"buckets":64,"cuts":8,"tenants":2,"clients":2,"requests_per_client":8,"burst":16,"spec_queries":16,"window_ms":20.0,"max_batch":16,"workers":3,"eps_request":0.25,"eps_levels":[],"noise_delta":0.0,"tenant_budget":6.0,"tenant_delta":0.0,"seed":20120827},"#,
+        r#""units":{"throughput":"granted requests (and queries) per second","error":"mean squared per-query error vs exact answers at eps_request"},"#,
+        r#""runs":[{"mode":"coalescing","wall_seconds":2.5,"answered":10,"rejected":2,"queries_answered":40,"requests_per_second":8.0,"queries_per_second":32.0,"mean_squared_error":1250.5,"batches":4,"coalesced_batches":3,"cross_eps_batches":0,"mean_occupancy":2.5,"max_occupancy":4,"cache_misses":4,"cache_hits":0,"peak_queue_depth":8,"p50_latency_ms":12.25,"p99_latency_ms":40.0,"overspend":false,"delta_overspend":false,"densifications":0},"#,
+        r#"{"mode":"per-query baseline","wall_seconds":2.5,"answered":10,"rejected":2,"queries_answered":40,"requests_per_second":4.0,"queries_per_second":16.0,"mean_squared_error":1250.5,"batches":4,"coalesced_batches":3,"cross_eps_batches":0,"mean_occupancy":2.5,"max_occupancy":4,"cache_misses":4,"cache_hits":0,"peak_queue_depth":8,"p50_latency_ms":12.25,"p99_latency_ms":40.0,"overspend":false,"delta_overspend":false,"densifications":0}],"#,
+        r#""comparison":{"throughput_speedup":2.0,"error_ratio_baseline_over_coalesced":1.0,"strictly_faster":true,"cross_eps_batches":0,"passes_smoke":true}}"#,
+    );
+    const GOLDEN_GAUSSIAN: &str = concat!(
+        r#"{"schema_version":1,"#,
+        r#""label":"gaussian","#,
+        r#""config":{"buckets":256,"cuts":32,"tenants":8,"clients":4,"requests_per_client":24,"burst":16,"spec_queries":16,"window_ms":20.0,"max_batch":16,"workers":3,"eps_request":0.25,"eps_levels":[0.1,0.25],"noise_delta":1e-6,"tenant_budget":2.5,"tenant_delta":0.0001,"seed":20120827},"#,
+        r#""units":{"throughput":"granted (eps, delta) releases per second","error":"mean squared per-query error vs exact answers at each release's own budget"},"#,
+        r#""runs":[{"mode":"coalescing","wall_seconds":2.5,"answered":10,"rejected":2,"queries_answered":40,"requests_per_second":8.0,"queries_per_second":32.0,"mean_squared_error":1250.5,"batches":4,"coalesced_batches":3,"cross_eps_batches":2,"mean_occupancy":2.5,"max_occupancy":4,"cache_misses":4,"cache_hits":0,"peak_queue_depth":8,"p50_latency_ms":12.25,"p99_latency_ms":40.0,"overspend":false,"delta_overspend":false,"densifications":0},"#,
+        r#"{"mode":"eps-fragmented","wall_seconds":2.5,"answered":10,"rejected":2,"queries_answered":40,"requests_per_second":4.0,"queries_per_second":16.0,"mean_squared_error":1250.5,"batches":4,"coalesced_batches":3,"cross_eps_batches":0,"mean_occupancy":2.5,"max_occupancy":4,"cache_misses":4,"cache_hits":0,"peak_queue_depth":8,"p50_latency_ms":12.25,"p99_latency_ms":40.0,"overspend":false,"delta_overspend":false,"densifications":0}],"#,
+        r#""comparison":{"throughput_speedup":2.0,"error_ratio_baseline_over_coalesced":1.0,"strictly_faster":true,"cross_eps_batches":2,"passes_smoke":true}}"#,
+    );
 }

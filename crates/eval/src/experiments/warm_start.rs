@@ -26,17 +26,16 @@
 //!
 //! The headline numbers — median per-shape iteration reduction (the
 //! acceptance gate is ≥ 30%) and P99 compile latency per stage — plus
-//! the restart invariants are serialized in the repo's `BENCH_*.json`
-//! style.
+//! the restart invariants are serialized as one JSON report.
 
 use crate::report::TableWriter;
 use lrm_core::decomposition::DecompositionConfig;
 use lrm_core::engine::{CacheOutcome, CacheStats, CompileOptions, Engine, MechanismKind};
 use lrm_dp::Epsilon;
+use lrm_obs::json;
 use lrm_server::{QuerySpec, Server};
 use lrm_workload::{Attribute, Schema, Workload};
-use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// Benchmark configuration.
@@ -214,110 +213,132 @@ pub struct WarmStartReport {
 }
 
 impl WarmStartReport {
-    /// The acceptance gate of ISSUE 6: ≥ 30% median iteration reduction,
-    /// strictly less warm work overall, and both restarts answering the
-    /// working set with zero full recompiles.
+    /// Every acceptance-gate condition that failed, one message each:
+    /// ≥ 30% median iteration reduction, every near-duplicate warm-started
+    /// and took strictly fewer iterations than cold (so strictly less
+    /// warm work overall), and both restarts answering the working set
+    /// with zero full recompiles.
+    pub fn smoke_failures(&self) -> Vec<String> {
+        let shapes = self.shapes.len() as u64;
+        let mut failures = Vec::new();
+        if self.median_reduction < 0.30 {
+            failures.push(format!(
+                "median warm-start iteration reduction {:.1}% is below the 30% gate",
+                self.median_reduction * 100.0
+            ));
+        }
+        for s in self.shapes.iter().skip(1) {
+            if !s.warm_started {
+                failures.push(format!(
+                    "the boundary-{} near-duplicate did not warm-start from the similarity index",
+                    s.nudge
+                ));
+            } else if s.warm_iterations >= s.cold_iterations {
+                failures.push(format!(
+                    "the boundary-{} near-duplicate took {} warm iterations, not strictly fewer than {} cold",
+                    s.nudge, s.warm_iterations, s.cold_iterations
+                ));
+            }
+        }
+        // Summed over the warm-started shapes; that sum of cold
+        // iterations is at most the total over every shape.
+        let (warm, cold) = self
+            .shapes
+            .iter()
+            .filter(|s| s.warm_started)
+            .fold((0, 0), |(w, c), s| {
+                (w + s.warm_iterations, c + s.cold_iterations)
+            });
+        if warm >= cold {
+            failures.push(format!(
+                "warm-started compiles took {warm} iterations, not strictly fewer than {cold} cold"
+            ));
+        }
+        if self.restart_misses != 0 || self.restart_disk_hits != shapes {
+            failures.push(format!(
+                "a restarted engine recompiled the working set ({} disk hits, {} misses over {shapes} shapes)",
+                self.restart_disk_hits, self.restart_misses
+            ));
+        }
+        if !self.restart_warm_start {
+            failures
+                .push("a restarted engine did not warm-start a new shape from the store".into());
+        }
+        if self.server_misses != 0 || self.server_answered != shapes {
+            failures.push(format!(
+                "a restarted server replayed the working set with {} answered and {} cache misses",
+                self.server_answered, self.server_misses
+            ));
+        }
+        failures
+    }
+
+    /// The acceptance gate: no [`smoke_failures`](Self::smoke_failures).
     pub fn passes_smoke(&self) -> bool {
-        let cold: usize = self.shapes.iter().map(|s| s.cold_iterations).sum();
-        let warm: usize = self
-            .shapes
-            .iter()
-            .filter(|s| s.warm_started)
-            .map(|s| s.warm_iterations)
-            .sum();
-        let cold_warm_only: usize = self
-            .shapes
-            .iter()
-            .filter(|s| s.warm_started)
-            .map(|s| s.cold_iterations)
-            .sum();
-        self.median_reduction >= 0.30
-            && self.shapes.iter().skip(1).all(|s| s.warm_started)
-            && warm < cold_warm_only
-            && warm < cold
-            && self.restart_misses == 0
-            && self.restart_disk_hits == self.shapes.len() as u64
-            && self.restart_warm_start
-            && self.server_misses == 0
-            && self.server_answered == self.shapes.len() as u64
+        self.smoke_failures().is_empty()
     }
 
-    /// Serializes the report in the repo's `BENCH_*.json` style.
+    /// Serializes the report as one JSON document.
     pub fn to_json(&self, label: &str) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema_version\": 1,");
-        let _ = writeln!(out, "  \"label\": \"{label}\",");
-        let _ = writeln!(
-            out,
-            "  \"config\": {{ \"buckets\": {}, \"shapes\": {}, \"cuts\": {}, \"seed\": {} }},",
-            self.config.buckets, self.config.shapes, self.config.cuts, self.config.seed,
-        );
-        let _ = writeln!(
-            out,
-            "  \"units\": {{ \"iterations\": \"ALM outer iterations per compile\", \"latency\": \"wall-clock milliseconds per Engine::compile\" }},"
-        );
-        let _ = writeln!(out, "  \"stages\": [");
-        for (i, s) in self.stages.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{ \"stage\": \"{}\", \"compiles\": {}, \"total_iterations\": {}, \"p50_compile_ms\": {:.3}, \"p99_compile_ms\": {:.3} }}{}",
-                s.stage,
-                s.compiles,
-                s.total_iterations,
-                s.p50_compile_ms,
-                s.p99_compile_ms,
-                if i + 1 < self.stages.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(out, "  \"shapes\": [");
-        for (i, s) in self.shapes.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {{ \"nudge\": {}, \"cold_iterations\": {}, \"warm_iterations\": {}, \"warm_started\": {}, \"reduction\": {:.4} }}{}",
-                s.nudge,
-                s.cold_iterations,
-                s.warm_iterations,
-                s.warm_started,
-                s.reduction,
-                if i + 1 < self.shapes.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(out, "  ],");
-        let _ = writeln!(
-            out,
-            "  \"restart\": {{ \"disk_hits\": {}, \"misses\": {}, \"new_shape_warm_started\": {} }},",
-            self.restart_disk_hits, self.restart_misses, self.restart_warm_start,
-        );
-        let _ = writeln!(
-            out,
-            "  \"server_restart\": {{ \"answered\": {}, \"misses\": {}, \"disk_hits\": {}, \"store_loads\": {}, \"warm_hits\": {}, \"farm_shapes\": {}, \"farm_precompiled\": {} }},",
-            self.server_answered,
-            self.server_misses,
-            self.server_cache.disk_hits,
-            self.server_cache.store_loads,
-            self.server_cache.warm_hits,
-            self.farm_shapes,
-            self.farm_precompiled,
-        );
-        let _ = writeln!(
-            out,
-            "  \"comparison\": {{ \"median_iteration_reduction\": {:.4}, \"zero_recompiles_after_restart\": {}, \"passes_smoke\": {} }}",
-            self.median_reduction,
-            self.restart_misses == 0 && self.server_misses == 0,
-            self.passes_smoke(),
-        );
-        out.push('}');
-        out.push('\n');
-        out
-    }
-
-    /// Writes the JSON report to `path`.
-    pub fn write(&self, path: &Path, label: &str) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json(label))
+        let cfg = &self.config;
+        json::object(|o| {
+            o.field("schema_version", 1u64)
+                .str("label", label)
+                .object("config", |c| {
+                    c.field("buckets", cfg.buckets)
+                        .field("shapes", cfg.shapes)
+                        .field("cuts", cfg.cuts)
+                        .field("seed", cfg.seed);
+                })
+                .object("units", |u| {
+                    u.field("iterations", "ALM outer iterations per compile")
+                        .field("latency", "wall-clock milliseconds per Engine::compile");
+                })
+                .array("stages", |a| {
+                    for s in &self.stages {
+                        a.object(|o| {
+                            o.field("stage", s.stage)
+                                .field("compiles", s.compiles)
+                                .field("total_iterations", s.total_iterations)
+                                .field("p50_compile_ms", s.p50_compile_ms)
+                                .field("p99_compile_ms", s.p99_compile_ms);
+                        });
+                    }
+                })
+                .array("shapes", |a| {
+                    for s in &self.shapes {
+                        a.object(|o| {
+                            o.field("nudge", s.nudge)
+                                .field("cold_iterations", s.cold_iterations)
+                                .field("warm_iterations", s.warm_iterations)
+                                .field("warm_started", s.warm_started)
+                                .field("reduction", s.reduction);
+                        });
+                    }
+                })
+                .object("restart", |r| {
+                    r.field("disk_hits", self.restart_disk_hits)
+                        .field("misses", self.restart_misses)
+                        .field("new_shape_warm_started", self.restart_warm_start);
+                })
+                .object("server_restart", |r| {
+                    r.field("answered", self.server_answered)
+                        .field("misses", self.server_misses)
+                        .field("disk_hits", self.server_cache.disk_hits)
+                        .field("store_loads", self.server_cache.store_loads)
+                        .field("warm_hits", self.server_cache.warm_hits)
+                        .field("farm_shapes", self.farm_shapes)
+                        .field("farm_precompiled", self.farm_precompiled);
+                })
+                .object("comparison", |c| {
+                    c.field("median_iteration_reduction", self.median_reduction)
+                        .field(
+                            "zero_recompiles_after_restart",
+                            self.restart_misses == 0 && self.server_misses == 0,
+                        )
+                        .field("passes_smoke", self.passes_smoke());
+                });
+        })
     }
 }
 
@@ -557,4 +578,55 @@ mod tests {
         assert!(json.contains("\"stages\""));
         assert!(json.contains("\"median_iteration_reduction\""));
     }
+
+    #[test]
+    fn report_json_is_exact() {
+        let shape = |nudge: usize, warm: usize, started: bool| ShapeOutcome {
+            nudge,
+            cold_iterations: 40,
+            warm_iterations: warm,
+            warm_started: started,
+            reduction: (40.0 - warm as f64) / 40.0,
+        };
+        let report = WarmStartReport {
+            config: WarmStartConfig {
+                shapes: 2,
+                ..WarmStartConfig::default()
+            },
+            stages: vec![
+                stage_stats("cold", &[40, 40], &[10.0, 12.5]),
+                stage_stats("warmed", &[40, 10], &[10.0, 3.0]),
+            ],
+            shapes: vec![shape(0, 40, false), shape(1, 10, true)],
+            median_reduction: 0.75,
+            restart_disk_hits: 2,
+            restart_misses: 0,
+            restart_warm_start: true,
+            server_answered: 2,
+            server_misses: 0,
+            server_cache: CacheStats {
+                disk_hits: 2,
+                store_loads: 2,
+                ..CacheStats::default()
+            },
+            farm_shapes: 2,
+            farm_precompiled: 1,
+        };
+        assert!(report.passes_smoke(), "{:?}", report.smoke_failures());
+        assert_eq!(report.to_json("warm"), GOLDEN);
+    }
+
+    const GOLDEN: &str = concat!(
+        r#"{"schema_version":1,"#,
+        r#""label":"warm","#,
+        r#""config":{"buckets":256,"shapes":2,"cuts":32,"seed":20120827},"#,
+        r#""units":{"iterations":"ALM outer iterations per compile","latency":"wall-clock milliseconds per Engine::compile"},"#,
+        r#""stages":[{"stage":"cold","compiles":2,"total_iterations":80,"p50_compile_ms":10.0,"p99_compile_ms":12.5},"#,
+        r#"{"stage":"warmed","compiles":2,"total_iterations":50,"p50_compile_ms":3.0,"p99_compile_ms":10.0}],"#,
+        r#""shapes":[{"nudge":0,"cold_iterations":40,"warm_iterations":40,"warm_started":false,"reduction":0.0},"#,
+        r#"{"nudge":1,"cold_iterations":40,"warm_iterations":10,"warm_started":true,"reduction":0.75}],"#,
+        r#""restart":{"disk_hits":2,"misses":0,"new_shape_warm_started":true},"#,
+        r#""server_restart":{"answered":2,"misses":0,"disk_hits":2,"store_loads":2,"warm_hits":0,"farm_shapes":2,"farm_precompiled":1},"#,
+        r#""comparison":{"median_iteration_reduction":0.75,"zero_recompiles_after_restart":true,"passes_smoke":true}}"#,
+    );
 }

@@ -125,10 +125,36 @@ pub fn write_csv(path: &Path, records: &[CsvRecord]) -> io::Result<()> {
             r.answer_seconds
         );
     }
+    write_report(path, &out)
+}
+
+/// Writes a report document (JSON from [`lrm_obs::json::object`], or
+/// CSV) to `path`, creating its parent directory.
+pub fn write_report(path: &Path, contents: &str) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
     }
-    fs::write(path, out)
+    fs::write(path, contents)
+}
+
+/// Writes a JSON report to `out`, or prints it to stdout when no path
+/// was given. A failed write is reported under `bin`'s name; returns
+/// whether the report got out.
+pub fn emit_report(bin: &'static str, out: Option<&Path>, json: &str) -> bool {
+    let Some(path) = out else {
+        println!("{json}");
+        return true;
+    };
+    match write_report(path, json) {
+        Ok(()) => {
+            println!("report written to {}", path.display());
+            true
+        }
+        Err(e) => {
+            crate::fail!(bin, "{bin}: cannot write {}: {e}", path.display());
+            false
+        }
+    }
 }
 
 #[cfg(test)]

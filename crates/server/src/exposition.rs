@@ -15,7 +15,6 @@
 use crate::metrics::MetricsSnapshot;
 use crate::server::ServerReport;
 use crate::tenants::TenantTelemetry;
-use lrm_obs::json::{push_f64, push_str};
 use std::fmt::Write as _;
 
 /// Renders the report in the Prometheus text exposition format
@@ -336,94 +335,79 @@ fn fmt_f64(v: f64) -> String {
 /// `{"metrics":{…,"latency":{…,"buckets":[[floor_us,count],…]}},
 /// "cache":{…},"tenants":[{…}]}`. Durations are microseconds
 /// (`*_us`) or seconds (`*_seconds`) as named; non-finite floats
-/// serialize as `null` (reusing `lrm_obs`'s JSON writer).
+/// serialize as `null` (written by `lrm_obs`'s JSON builder).
 pub fn json(report: &ServerReport) -> String {
-    let mut out = String::with_capacity(4096);
     let m = &report.metrics;
-    out.push_str("{\"metrics\":{");
-    for (i, (name, _, value)) in counter_rows(m).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // Drop the exposition prefix/suffix: `lrm_batches_total` is the
-        // JSON key `batches`.
-        let key = name.trim_start_matches("lrm_").trim_end_matches("_total");
-        push_str(&mut out, key);
-        let _ = write!(out, ":{value}");
-    }
-    out.push_str(",\"batch_mean_occupancy\":");
-    push_f64(&mut out, m.mean_occupancy);
-    out.push_str(",\"shard_queue_depths\":");
-    push_u64_array(&mut out, &m.shard_depths);
-    out.push_str(",\"shard_peak_queue_depths\":");
-    push_u64_array(&mut out, &m.shard_peak_depths);
-    let _ = write!(
-        out,
-        ",\"latency\":{{\"p50_us\":{},\"p99_us\":{},\"p999_us\":{},\"sum_us\":{},\"count\":{},\"buckets\":[",
-        m.p50_latency.as_micros(),
-        m.p99_latency.as_micros(),
-        m.p999_latency.as_micros(),
-        m.latency_sum.as_micros(),
-        m.latency_samples(),
-    );
-    for (i, (floor, count)) in m.histogram_buckets().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{floor},{count}]");
-    }
-    out.push_str("]}}");
     let c = &report.cache;
-    let _ = write!(
-        out,
-        ",\"cache\":{{\"memory_hits\":{},\"disk_hits\":{},\"misses\":{},\"warm_hits\":{},\"store_loads\":{},\"evictions\":{},\"entries\":{}}}",
-        c.memory_hits, c.disk_hits, c.misses, c.warm_hits, c.store_loads, c.evictions, c.entries,
-    );
-    out.push_str(",\"tenants\":[");
-    for (i, t) in report.telemetry.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"tenant\":");
-        push_str(&mut out, &t.tenant);
-        for (key, v) in [
-            ("eps_spent", t.eps_spent),
-            ("eps_remaining", t.eps_remaining),
-            ("delta_spent", t.delta_spent),
-            ("delta_remaining", t.delta_remaining),
-            ("eps_burn_per_sec", t.eps_burn_per_sec),
-            ("delta_burn_per_sec", t.delta_burn_per_sec),
-        ] {
-            let _ = write!(out, ",\"{key}\":");
-            push_f64(&mut out, v);
-        }
-        let _ = write!(out, ",\"burn_window_seconds\":");
-        push_f64(&mut out, t.window.as_secs_f64());
-        for (key, v) in [
-            ("eps_exhaustion_seconds", t.eps_exhaustion),
-            ("delta_exhaustion_seconds", t.delta_exhaustion),
-        ] {
-            let _ = write!(out, ",\"{key}\":");
-            match v {
-                Some(d) => push_f64(&mut out, d.as_secs_f64()),
-                None => out.push_str("null"),
+    let us = |d: std::time::Duration| d.as_micros() as u64;
+    lrm_obs::json::object(|o| {
+        o.object("metrics", |mo| {
+            for (name, _, value) in counter_rows(m) {
+                // Drop the exposition prefix/suffix: `lrm_batches_total`
+                // is the JSON key `batches`.
+                mo.field(
+                    name.trim_start_matches("lrm_").trim_end_matches("_total"),
+                    value,
+                );
             }
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
-fn push_u64_array(out: &mut String, values: &[u64]) {
-    out.push('[');
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
+            mo.field("batch_mean_occupancy", m.mean_occupancy)
+                .array("shard_queue_depths", |a| {
+                    for &depth in &m.shard_depths {
+                        a.value(depth);
+                    }
+                })
+                .array("shard_peak_queue_depths", |a| {
+                    for &depth in &m.shard_peak_depths {
+                        a.value(depth);
+                    }
+                })
+                .object("latency", |l| {
+                    l.field("p50_us", us(m.p50_latency))
+                        .field("p99_us", us(m.p99_latency))
+                        .field("p999_us", us(m.p999_latency))
+                        .field("sum_us", us(m.latency_sum))
+                        .field("count", m.latency_samples())
+                        .array("buckets", |a| {
+                            for (floor, count) in m.histogram_buckets() {
+                                a.array(|b| {
+                                    b.value(floor).value(count);
+                                });
+                            }
+                        });
+                });
+        })
+        .object("cache", |co| {
+            co.field("memory_hits", c.memory_hits)
+                .field("disk_hits", c.disk_hits)
+                .field("misses", c.misses)
+                .field("warm_hits", c.warm_hits)
+                .field("store_loads", c.store_loads)
+                .field("evictions", c.evictions)
+                .field("entries", c.entries);
+        })
+        .array("tenants", |a| {
+            for t in &report.telemetry {
+                a.object(|to| {
+                    to.str("tenant", &t.tenant)
+                        .field("eps_spent", t.eps_spent)
+                        .field("eps_remaining", t.eps_remaining)
+                        .field("delta_spent", t.delta_spent)
+                        .field("delta_remaining", t.delta_remaining)
+                        .field("eps_burn_per_sec", t.eps_burn_per_sec)
+                        .field("delta_burn_per_sec", t.delta_burn_per_sec)
+                        .field("burn_window_seconds", t.window.as_secs_f64())
+                        .opt(
+                            "eps_exhaustion_seconds",
+                            t.eps_exhaustion.map(|d| d.as_secs_f64()),
+                        )
+                        .opt(
+                            "delta_exhaustion_seconds",
+                            t.delta_exhaustion.map(|d| d.as_secs_f64()),
+                        );
+                });
+            }
+        });
+    })
 }
 
 #[cfg(test)]
@@ -433,6 +417,7 @@ mod tests {
     use crate::spec::QuerySpec;
     use lrm_dp::Epsilon;
     use lrm_workload::{Attribute, Schema};
+    use std::time::Duration;
 
     fn sample_report() -> ServerReport {
         let schema = Schema::single(Attribute::new("v", 0.0, 8.0, 8).unwrap());
@@ -537,4 +522,48 @@ mod tests {
             Ok(())
         }
     }
+
+    #[test]
+    fn json_exposition_is_exact() {
+        let mut metrics = crate::metrics::ServerMetrics::new(2).snapshot();
+        metrics.submitted = 3;
+        metrics.answered = 2;
+        metrics.batches = 1;
+        metrics.mean_occupancy = f64::NAN;
+        metrics.shard_depths = vec![0, 1];
+        metrics.shard_peak_depths = vec![2, 1];
+        metrics.p50_latency = Duration::from_micros(150);
+        metrics.p99_latency = Duration::from_micros(900);
+        metrics.p999_latency = Duration::from_micros(900);
+        metrics.latency_sum = Duration::from_micros(1050);
+        metrics.latency_buckets = vec![(148, 1), (896, 1)];
+        let report = ServerReport {
+            metrics,
+            cache: lrm_core::engine::CacheStats {
+                misses: 1,
+                entries: 1,
+                ..Default::default()
+            },
+            telemetry: vec![TenantTelemetry {
+                tenant: "acme \"lab\"\n".to_string(),
+                eps_spent: 0.5,
+                eps_remaining: 1.5,
+                delta_spent: 0.0,
+                delta_remaining: 0.0,
+                window: Duration::from_secs(60),
+                eps_burn_per_sec: 0.25,
+                delta_burn_per_sec: 0.0,
+                eps_exhaustion: Some(Duration::from_secs(6)),
+                delta_exhaustion: None,
+            }],
+            tenants: Vec::new(),
+        };
+        assert_eq!(json(&report), GOLDEN);
+    }
+
+    const GOLDEN: &str = concat!(
+        r#"{"metrics":{"requests_submitted":3,"requests_answered":2,"requests_rejected_admission":0,"requests_rejected_settlement":0,"requests_failed":0,"requests_shed":0,"batches":1,"batches_coalesced":0,"batches_single":0,"batch_rows":0,"batch_max_occupancy":0,"peak_queue_depth":0,"batches_closed_rank":0,"batches_closed_window":0,"batches_closed_ceiling":0,"batches_closed_drain":0,"batches_laplace":0,"batches_gaussian":0,"batches_cross_eps":0,"batches_stolen":0,"densifications":0,"farm_shapes":0,"farm_precompiled":0,"farm_compile_seconds":0,"worker_respawns":0,"quarantined_shapes":0,"degraded_releases":0,"ledger_replays":0,"batch_mean_occupancy":null,"shard_queue_depths":[0,1],"shard_peak_queue_depths":[2,1],"latency":{"p50_us":150,"p99_us":900,"p999_us":900,"sum_us":1050,"count":2,"buckets":[[148,1],[896,1]]}},"#,
+        r#""cache":{"memory_hits":0,"disk_hits":0,"misses":1,"warm_hits":0,"store_loads":0,"evictions":0,"entries":1},"#,
+        r#""tenants":[{"tenant":"acme \"lab\"\n","eps_spent":0.5,"eps_remaining":1.5,"delta_spent":0.0,"delta_remaining":0.0,"eps_burn_per_sec":0.25,"delta_burn_per_sec":0.0,"burn_window_seconds":60.0,"eps_exhaustion_seconds":6.0,"delta_exhaustion_seconds":null}]}"#,
+    );
 }

@@ -519,7 +519,7 @@ impl Server {
     /// [`Server::try_register_tenant_budget`] to handle that case.
     pub fn register_tenant_budget(&self, tenant: &str, total: Budget) {
         self.tenants
-            .register_budget(tenant, total)
+            .register(tenant, total)
             .expect("tenant budget journal failed to open");
     }
 
@@ -543,7 +543,7 @@ impl Server {
         total: Budget,
     ) -> Result<ResumeSummary, ServerError> {
         self.tenants
-            .register_budget(tenant, total)
+            .register(tenant, total)
             .map_err(ServerError::Admission)
     }
 

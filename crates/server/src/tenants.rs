@@ -21,7 +21,7 @@
 //! and recover *both* columns through the same two-phase protocol — a
 //! crash replays unsettled δ as spent just like unsettled ε.
 
-use lrm_dp::{Budget, BudgetError, DurableError, Epsilon, ResumeSummary, SharedLedger};
+use lrm_dp::{Budget, BudgetError, DurableError, ResumeSummary, SharedLedger};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,20 +69,15 @@ impl TenantLedgers {
         }
     }
 
-    /// Registers (or resets) a tenant with a fresh pure-ε budget,
-    /// resuming its durable journal when one exists with the same total.
-    pub fn register(&self, tenant: &str, total: Epsilon) -> Result<ResumeSummary, AdmissionError> {
-        self.register_budget(tenant, Budget::pure(total))
-    }
-
-    /// Registers (or resets) a tenant with a fresh (ε, δ) budget,
+    /// Registers (or resets) a tenant with a fresh ε or (ε, δ) budget,
     /// resuming its durable journal when one exists with the same totals
     /// (a grant whose ε *or* δ total changed resets instead of resuming).
-    pub fn register_budget(
+    pub fn register(
         &self,
         tenant: &str,
-        total: Budget,
+        total: impl Into<Budget>,
     ) -> Result<ResumeSummary, AdmissionError> {
+        let total = total.into();
         let (ledger, resume) = match &self.dir {
             Some(dir) => {
                 let ledger_error = |e: std::io::Error| AdmissionError::Ledger {
@@ -172,8 +167,8 @@ impl TenantLedgers {
     /// remaining ε budget. The serving path always uses the two phases
     /// explicitly (intent before noise); this shorthand serves tests.
     #[cfg(test)]
-    pub fn debit(&self, tenant: &str, eps: Epsilon) -> Result<f64, AdmissionError> {
-        let id = self.begin_budget(tenant, Budget::pure(eps))?;
+    pub fn debit(&self, tenant: &str, eps: lrm_dp::Epsilon) -> Result<f64, AdmissionError> {
+        let id = self.begin_budget(tenant, eps.into())?;
         Ok(self.settle(tenant, id).0)
     }
 
@@ -397,6 +392,7 @@ pub struct TenantTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lrm_dp::Epsilon;
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
@@ -477,7 +473,7 @@ mod tests {
     fn approx_grants_track_both_columns() {
         let tenants = TenantLedgers::default();
         let grant = Budget::approx(eps(1.0), 1e-5).unwrap();
-        tenants.register_budget("acme", grant).unwrap();
+        tenants.register("acme", grant).unwrap();
         let release = Budget::approx(eps(0.25), 1e-6).unwrap();
         let id = tenants.begin_budget("acme", release).unwrap();
         let (eps_remaining, delta_remaining) = tenants.settle("acme", id);

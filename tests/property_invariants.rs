@@ -2,6 +2,7 @@
 
 use lrm::core::mechanism::Mechanism;
 use lrm::dp::rng::derive_rng;
+use lrm::dp::SensitivityNorm;
 use lrm::linalg::Matrix;
 use lrm::prelude::*;
 use proptest::prelude::*;
@@ -26,7 +27,7 @@ proptest! {
     /// Δ(B, L) ≤ 1, and the residual is finite.
     #[test]
     fn decomposition_feasible(w in small_workload()) {
-        let d = WorkloadDecomposition::compute(&w, &DecompositionConfig::default()).unwrap();
+        let d = WorkloadDecomposition::compute(&w, &DecompositionConfig::default(), SensitivityNorm::L1, None).unwrap();
         prop_assert!(d.sensitivity() <= 1.0 + 1e-9, "Δ = {}", d.sensitivity());
         prop_assert!(d.scale().is_finite());
         prop_assert!(d.stats().residual.is_finite());
@@ -36,7 +37,7 @@ proptest! {
     /// from the workload's singular values.
     #[test]
     fn lrm_within_lemma3(w in small_workload()) {
-        let d = WorkloadDecomposition::compute(&w, &DecompositionConfig::default()).unwrap();
+        let d = WorkloadDecomposition::compute(&w, &DecompositionConfig::default(), SensitivityNorm::L1, None).unwrap();
         let svals = w.singular_values();
         if !svals.is_empty() {
             let upper = lrm::core::bounds::lemma3_upper_bound(&svals, 1.0);
